@@ -66,10 +66,15 @@ def _rng(seed: int, replicate: int = 0) -> np.random.Generator:
 
 
 def _workers() -> int:
+    raw = os.environ.get("NIGDIFF_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("NIGDIFF_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(
+            f"NIGDIFF_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------

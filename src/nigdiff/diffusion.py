@@ -249,10 +249,14 @@ def scale_function(x: float, beta: float, x0: float = 1.0,
         raise DomainError("scale_function requires positive arguments")
     if beta <= 0:
         raise DomainError("scale_function requires beta > 0")
-    return math.exp(-2 * beta / y0) * (
-        x * math.exp(2 * beta / x) - x0 * math.exp(2 * beta / x0)
-        - 2 * beta * exp_integral_ei(2 * beta / x)
-        + 2 * beta * exp_integral_ei(2 * beta / x0))
+    try:
+        return math.exp(-2 * beta / y0) * (
+            x * math.exp(2 * beta / x) - x0 * math.exp(2 * beta / x0)
+            - 2 * beta * exp_integral_ei(2 * beta / x)
+            + 2 * beta * exp_integral_ei(2 * beta / x0))
+    except OverflowError as exc:
+        raise NumericalError(f"scale function overflows double precision "
+                             f"at x={x}, beta={beta}") from exc
 
 
 def speed_measure(c: float, d: float, beta: float, y0: float = 1.0) -> float:
@@ -262,8 +266,12 @@ def speed_measure(c: float, d: float, beta: float, y0: float = 1.0) -> float:
         raise DomainError("speed_measure requires 0 < c < d")
     if beta <= 0 or y0 <= 0:
         raise DomainError("speed_measure requires beta > 0 and y0 > 0")
-    return math.exp(2 * beta / y0) * (exp_integral_ei(-2 * beta / c)
-                                      - exp_integral_ei(-2 * beta / d))
+    try:
+        return math.exp(2 * beta / y0) * (exp_integral_ei(-2 * beta / c)
+                                          - exp_integral_ei(-2 * beta / d))
+    except OverflowError as exc:
+        raise NumericalError(f"speed measure overflows double precision "
+                             f"at beta={beta}, y0={y0}") from exc
 
 
 def stationary_density_candidate(x: float, beta: float, c1: float,

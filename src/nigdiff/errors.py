@@ -27,7 +27,8 @@ class PrecisionLossError(NigdiffError, ArithmeticError):
 
 
 class NumericalError(NigdiffError, RuntimeError):
-    """A numerical procedure (quadrature, factorization) failed to converge."""
+    """A numerical procedure (quadrature, factorization) failed to converge,
+    or a closed form overflowed double precision."""
 
 
 class InternalConsistencyError(NigdiffError, RuntimeError):

@@ -5,10 +5,10 @@ Poisson-Dirichlet random measures.
 Three routes are provided for the generalized-gamma predictive weights
 (g0, g1):
 
-* ``weights_gg_exact`` — alternating sums of incomplete-gamma terms in
-  signed log space.  Fast and very accurate for moderate n, but the
-  sums cancel catastrophically as n or beta grows; the routine refuses
-  to answer once the estimated cancellation exceeds a threshold.
+* ``weights_gg_exact`` — alternating sums of incomplete-gamma terms,
+  evaluated in 50-digit arithmetic.  The sums cancel as n or beta
+  grows; the routine refuses to answer once fewer than 16 significant
+  digits would survive.
 * ``weights_gg_quadrature`` — ratios of the normalizing constants
   V(n, k), each computed by adaptive quadrature of a unimodal positive
   integrand in shifted log space.  Slower but uniformly stable.
@@ -18,6 +18,11 @@ Three routes are provided for the generalized-gamma predictive weights
 A vectorized fixed-order Gauss-Legendre evaluator (``w_factor_batch``)
 backs the large-scale samplers, where millions of weight evaluations
 are needed and adaptive quadrature per point would be too slow.
+
+The partition laws (EPPF, singleton-count law and its factorial
+moments) are sums of positive terms V(n, k) times weighted partition
+counts, the counts built by positive triangular recursions in log
+space, so they need no cancellation control.
 """
 
 from __future__ import annotations
@@ -31,11 +36,9 @@ from scipy import integrate
 
 from .errors import (DomainError, NumericalError, PrecisionLossError,
                      UnsupportedParameterError)
-from .specfun import (SignedLogSum, SignedLogValue, _log_gamma_cached,
-                      gen_factorial_coeff_log, gen_factorial_coeff_log_table,
-                      pochhammer_log)
+from .specfun import gen_factorial_coeff_log_table
 
-DEFAULT_MAX_CONDITION = 12.0
+_MP_DPS = 50  # working precision of the exact route, in decimal digits
 
 
 # ---------------------------------------------------------------------------
@@ -123,34 +126,8 @@ def weights_pd(n: int, k: int, params: PDParams) -> WeightPair:
 
 
 # ---------------------------------------------------------------------------
-# Exact route: alternating incomplete-gamma sums
+# Exact route: alternating incomplete-gamma sums in 50-digit arithmetic
 
-def _gg_core_sum(n: int, k: int, beta: float, alpha: float) -> SignedLogSum:
-    """sum_{s=0}^{n-1} binom(n-1, s) (-1)^s beta^{s/alpha}
-    Gamma(k - s/alpha; beta), accumulated in signed log pools.
-
-    This is (up to the prefactor alpha^{k-1} e^beta / Gamma(n)) the
-    normalizing constant V(n, k) of the partition law.
-    """
-    log_beta = math.log(beta)
-    acc = SignedLogSum()
-    for s in range(n):
-        log_term = (math.lgamma(n) - math.lgamma(s + 1) - math.lgamma(n - s)
-                    + (s / alpha) * log_beta
-                    + _log_gamma_cached(k - s / alpha, beta))
-        acc.add_signed(1 if s % 2 == 0 else -1, log_term)
-    return acc
-
-
-def _require_sign_positive(res: SignedLogValue, what: str,
-                           condition: float) -> None:
-    if res.sign <= 0:
-        raise PrecisionLossError(
-            f"{what} lost all significant digits (sign flipped or vanished); "
-            "use the quadrature route", condition_estimate=condition)
-
-
-_MP_DPS = 50
 _mp_gamma_tables = {}
 
 
@@ -192,9 +169,10 @@ def _mp_gamma_lookup(table, c: int):
 
 
 def _gg_core_sum_mp(n: int, k: int, beta: float):
-    """The alternating sum of _gg_core_sum for alpha = 1/2 (so all
-    incomplete-gamma arguments are the integers k - 2s), evaluated in
-    50-digit arithmetic.  Returns (value, condition_estimate)."""
+    """sum_{s=0}^{n-1} binom(n-1, s) (-1)^s beta^{2s} Gamma(k - 2s; beta),
+    which is (up to the prefactor alpha^{k-1} e^beta / Gamma(n)) the
+    normalizing constant V(n, k) at alpha = 1/2, evaluated in 50-digit
+    arithmetic.  Returns (value, condition_estimate)."""
     import mpmath as mp
     table = _mp_gamma_int(beta)
     with mp.workdps(_MP_DPS):
@@ -219,14 +197,14 @@ def _gg_core_sum_mp(n: int, k: int, beta: float):
 
 
 def weights_gg_exact(n: int, k: int, params: GGParams,
-                     max_condition: float = DEFAULT_MAX_CONDITION
-                     ) -> WeightPair:
+                     max_condition: float = _MP_DPS - 16) -> WeightPair:
     """Predictive weights from the alternating-sum representation,
     evaluated in 50-digit fixed precision (the sums cancel; the
     condition estimate reports how many decimal digits were lost).
 
     Requires alpha = 1/2.  Raises PrecisionLossError when the estimated
-    cancellation exceeds ``max_condition`` decimal digits.
+    cancellation exceeds ``max_condition`` decimal digits; the default
+    keeps at least 16 significant digits of the working precision.
     """
     import mpmath as mp
     _check_nk(n, k)
@@ -529,160 +507,91 @@ def g0_batch(n_arr: np.ndarray, k_arr: np.ndarray,
 # ---------------------------------------------------------------------------
 # EPPF
 
-def eppf_log(block_sizes, params: GGParams,
-             max_condition: float = DEFAULT_MAX_CONDITION) -> float:
-    """Log probability of an unordered block-size configuration."""
+def eppf_log(block_sizes, params: GGParams) -> float:
+    """Log probability of an unordered block-size configuration:
+    log V(n, k) + sum_j log (1 - alpha)_(n_j - 1)."""
     sizes = list(block_sizes)
     if not sizes or any((s < 1 or s != int(s)) for s in sizes):
         raise DomainError("block sizes must be a nonempty list of positive "
                           "integers")
-    sizes = [int(s) for s in sizes]
-    n = sum(sizes)
-    k = len(sizes)
     alpha = params.alpha
-    log_poch = sum(pochhammer_log(1.0 - alpha, s - 1).log_magnitude
-                   for s in sizes)
-    if params.a == 0.0:
-        log_vnk = (k - 1) * math.log(alpha) + math.lgamma(k) - math.lgamma(n)
-        return log_vnk + log_poch
-    core = _gg_core_sum(n, k, params.beta, alpha)
-    if core.condition_estimate > max_condition:
-        raise PrecisionLossError(
-            f"partition-probability sum cancelled "
-            f"{core.condition_estimate:.1f} digits",
-            condition_estimate=core.condition_estimate)
-    res = core.result()
-    _require_sign_positive(res, "partition probability",
-                           core.condition_estimate)
-    return ((k - 1) * math.log(alpha) + params.beta - math.lgamma(n)
-            + log_poch + res.log_magnitude)
+    log_poch = sum(math.lgamma(s - alpha) for s in sizes)
+    return (log_v(int(sum(sizes)), len(sizes), params) + log_poch
+            - len(sizes) * math.lgamma(1.0 - alpha))
 
 
-def eppf(block_sizes, params: GGParams,
-         max_condition: float = DEFAULT_MAX_CONDITION) -> float:
+def eppf(block_sizes, params: GGParams) -> float:
     """Probability of the given unordered block-size configuration;
     invariant under permutation of the sizes."""
-    return math.exp(eppf_log(block_sizes, params, max_condition))
+    return math.exp(eppf_log(block_sizes, params))
 
 
 # ---------------------------------------------------------------------------
 # Singleton-count law
 
-M1_EXACT_N_LIMIT = 40
-# beyond this many cancelled digits the pools agree to within double-precision
-# roundoff, i.e. the true sum is zero
-TOTAL_CANCELLATION_DIGITS = 15.3
+def _no_singleton_log_row(size: int, alpha: float) -> np.ndarray:
+    """log D(size, j) for j = 0..size//2, where D(N, j) sums
+    prod_i (1 - alpha)_(n_i - 1) over the partitions of N items into j
+    blocks none of which is a singleton (-inf where there are none).
 
+    Built by the recursion, all of whose terms are positive,
 
-def m1_pmf(n: int, m: int, params: GGParams,
-           max_condition: float = DEFAULT_MAX_CONDITION) -> float:
-    """P(number of size-one blocks = m) in an n-sample, by the exact
-    triple sum over (s, j, kk) in signed log space.
+        D(N+1, j) = (N - j alpha) D(N, j) + N (1 - alpha) D(N-1, j-1),
 
-    Refused for n above M1_EXACT_N_LIMIT, where cancellation makes the
-    triple sum meaningless in double precision.
+    from D(0, 0) = 1: item N+1 either joins one of the j blocks, or
+    pairs with one of the N others, whose singleton it was.
     """
+    width = size // 2 + 1
+    prev = np.full(width, -np.inf)
+    prev[0] = 0.0
+    cur = np.full(width, -np.inf)
+    for n in range(1, size):
+        js = np.arange(1, (n + 1) // 2 + 1)  # n - j alpha > 0 on this range
+        row = np.full(width, -np.inf)
+        row[js] = np.logaddexp(np.log(n - js * alpha) + cur[js],
+                               math.log(n * (1.0 - alpha)) + prev[js - 1])
+        prev, cur = cur, row
+    return cur if size else prev
+
+
+def _log_sum_over_k(n: int, k0: int, log_weights: np.ndarray,
+                    params: GGParams) -> float:
+    """log sum_j V(n, k0 + j) exp(log_weights[j]) over the finite
+    weights; -inf when there are none."""
+    terms = [log_v(n, k0 + int(j), params) + log_weights[j]
+             for j in np.flatnonzero(np.isfinite(log_weights))]
+    return float(np.logaddexp.reduce(terms)) if terms else -np.inf
+
+
+def m1_pmf(n: int, m: int, params: GGParams) -> float:
+    """P(number of size-one blocks = m) in an n-sample:
+    sum_k V(n, k) binom(n, m) D(n - m, k - m), with the no-singleton
+    weights D of _no_singleton_log_row."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if not 0 <= m <= n:
         raise DomainError("m must be in [0, n]")
-    if n > M1_EXACT_N_LIMIT:
-        raise PrecisionLossError(
-            f"exact singleton-count law refused for n > {M1_EXACT_N_LIMIT}; "
-            "use Monte Carlo")
-    if params.a == 0.0:
-        raise UnsupportedParameterError(
-            "singleton-count closed form requires a > 0")
-    if m == n - 1 and n > 1:
-        # structurally impossible: n-1 singletons force the remaining
-        # block to be a singleton as well
-        return 0.0
-    alpha, beta = params.alpha, params.beta
-    log_beta = math.log(beta)
-    acc = SignedLogSum()
-    for s in range(n):
-        log_s_part = (math.lgamma(n) - math.lgamma(s + 1)
-                      - math.lgamma(n - s) + (s / alpha) * log_beta)
-        sign_s = 1 if s % 2 == 0 else -1
-        for j in range(n - m + 1):
-            poch = pochhammer_log(n - m - j + 1, m + j)
-            if poch.sign == 0:
-                continue
-            sign_sj = sign_s * poch.sign * (1 if j % 2 == 0 else -1)
-            log_sj = (log_s_part + j * math.log(alpha)
-                      + poch.log_magnitude - math.lgamma(j + 1))
-            for kk in range(n - m - j + 1):
-                c = gen_factorial_coeff_log(n - m - j, kk, alpha)
-                if c.sign == 0:
-                    continue
-                log_term = (log_sj + c.log_magnitude
-                            + _log_gamma_cached(kk + m + j - s / alpha, beta))
-                acc.add_signed(sign_sj * c.sign, log_term)
-    cond = acc.condition_estimate
-    if cond >= TOTAL_CANCELLATION_DIGITS:
-        # cancellation is complete to double precision: the true value is
-        # an exact structural zero (e.g. n-1 singletons is impossible)
-        return 0.0
-    if cond > max_condition:
-        raise PrecisionLossError(
-            f"singleton-count sum cancelled {cond:.1f} digits",
-            condition_estimate=cond)
-    res = acc.result()
-    if res.sign < 0:
-        raise PrecisionLossError(
-            "singleton-count sum lost its sign", condition_estimate=cond)
-    if res.sign == 0:
-        return 0.0
-    log_prefactor = ((m - 1) * math.log(alpha) + beta - math.lgamma(n)
-                     - math.lgamma(m + 1))
-    return math.exp(log_prefactor + res.log_magnitude)
+    rest = n - m
+    log_sum = _log_sum_over_k(n, m, _no_singleton_log_row(rest, params.alpha),
+                              params)
+    log_binom = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(rest + 1)
+    return math.exp(log_binom + log_sum)
 
 
-def m1_factorial_moment(n: int, r: int, params: GGParams,
-                        max_condition: float = DEFAULT_MAX_CONDITION
-                        ) -> float:
+def m1_factorial_moment(n: int, r: int, params: GGParams) -> float:
     """r-th falling-factorial moment of the singleton count:
-    E[M1 (M1-1) ... (M1-r+1)]."""
+    E[M1 (M1-1) ... (M1-r+1)] = (n)_[r] P(items 1..r are singletons)
+    = (n)_[r] sum_k V(n, k) C(n-r, k-r, alpha) / alpha^(k-r)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if not 1 <= r <= n:
         raise DomainError("r must be in [1, n]")
-    if n > M1_EXACT_N_LIMIT:
-        raise PrecisionLossError(
-            f"exact singleton-count law refused for n > {M1_EXACT_N_LIMIT}; "
-            "use Monte Carlo")
-    if params.a == 0.0:
-        raise UnsupportedParameterError(
-            "singleton-count closed form requires a > 0")
-    alpha, beta = params.alpha, params.beta
-    log_beta = math.log(beta)
-    # log of (n)_[r] = n! / (n-r)!
-    log_falling = math.lgamma(n + 1) - math.lgamma(n - r + 1)
-    acc = SignedLogSum()
-    for k in range(r, n + 1):
-        c = gen_factorial_coeff_log(n - r, k - r, alpha)
-        if c.sign == 0:
-            continue
-        for s in range(n):
-            log_term = (c.log_magnitude + math.lgamma(n)
-                        - math.lgamma(s + 1) - math.lgamma(n - s)
-                        + (s / alpha) * log_beta
-                        + _log_gamma_cached(k - s / alpha, beta))
-            acc.add_signed(c.sign * (1 if s % 2 == 0 else -1), log_term)
-    if acc.condition_estimate > max_condition:
-        raise PrecisionLossError(
-            f"factorial-moment sum cancelled {acc.condition_estimate:.1f} "
-            "digits", condition_estimate=acc.condition_estimate)
-    res = acc.result()
-    if res.sign <= 0:
-        if res.sign == 0:
-            return 0.0
-        raise PrecisionLossError(
-            "factorial-moment sum lost its sign",
-            condition_estimate=acc.condition_estimate)
-    log_prefactor = ((r - 1) * math.log(alpha) + log_falling + beta
-                     - math.lgamma(n))
-    return math.exp(log_prefactor + res.log_magnitude)
+    rest = n - r
+    log_c = gen_factorial_coeff_log_table(rest, rest, params.alpha)[rest]
+    log_sum = _log_sum_over_k(
+        n, r, log_c - np.arange(rest + 1) * math.log(params.alpha), params)
+    log_falling = math.lgamma(n + 1) - math.lgamma(rest + 1)
+    return math.exp(log_falling + log_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ Everything downstream (predictive weights, partition probabilities,
 boundary classification) reduces to four primitives: Pochhammer symbols,
 the upper incomplete gamma function at arbitrary real first argument,
 the exponential integral Ei, and generalized factorial coefficients.
-Alternating sums are accumulated as two signed-log pools (positive and
-negative terms) that are combined once at the end, so the amount of
-cancellation is observable and can be reported to the caller.
+The coefficients come from a triangular recursion whose terms are all
+positive, accumulated in log space, so no alternating sum is needed.
 
 All functions here are pure and thread-safe.
 """
@@ -14,106 +13,11 @@ All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError, UnsupportedParameterError
-
-LOG_ZERO = float("-inf")
-_LN10 = math.log(10.0)
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as a sign and the natural log of its magnitude.
-
-    ``sign == 0`` represents exact zero and carries ``log_magnitude = -inf``.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @staticmethod
-    def zero() -> "SignedLogValue":
-        return SignedLogValue(0, LOG_ZERO)
-
-    @staticmethod
-    def from_float(x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return SignedLogValue.zero()
-        return SignedLogValue(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign,
-                              self.log_magnitude + other.log_magnitude)
-
-    def __neg__(self) -> "SignedLogValue":
-        return SignedLogValue(-self.sign, self.log_magnitude)
-
-    def scaled(self, log_factor: float) -> "SignedLogValue":
-        """Multiply by a positive factor given as its log."""
-        if self.sign == 0:
-            return self
-        return SignedLogValue(self.sign, self.log_magnitude + log_factor)
-
-
-class SignedLogSum:
-    """Accumulator for alternating series in signed log space.
-
-    Positive and negative terms are pooled separately (each pool is a
-    running log-sum-exp) and subtracted once at the end.  The condition
-    estimate is log10(max pool magnitude / |result|): the number of
-    decimal digits lost to cancellation.
-    """
-
-    __slots__ = ("_pos", "_neg")
-
-    def __init__(self):
-        self._pos = LOG_ZERO
-        self._neg = LOG_ZERO
-
-    def add(self, value: SignedLogValue) -> None:
-        self.add_signed(value.sign, value.log_magnitude)
-
-    def add_signed(self, sign: int, log_magnitude: float) -> None:
-        if sign == 0 or log_magnitude == LOG_ZERO:
-            return
-        if sign > 0:
-            self._pos = np.logaddexp(self._pos, log_magnitude)
-        else:
-            self._neg = np.logaddexp(self._neg, log_magnitude)
-
-    def result(self) -> SignedLogValue:
-        if self._pos == LOG_ZERO and self._neg == LOG_ZERO:
-            return SignedLogValue.zero()
-        if self._pos > self._neg:
-            diff = self._neg - self._pos
-            return SignedLogValue(1, self._pos + math.log1p(-math.exp(diff)))
-        if self._neg > self._pos:
-            diff = self._pos - self._neg
-            return SignedLogValue(-1, self._neg + math.log1p(-math.exp(diff)))
-        return SignedLogValue.zero()  # exact cancellation
-
-    @property
-    def condition_estimate(self) -> float:
-        """Decimal digits lost to cancellation (0 when nothing cancelled)."""
-        peak = max(self._pos, self._neg)
-        if peak == LOG_ZERO:
-            return 0.0
-        res = self.result()
-        if res.sign == 0:
-            return float("inf")
-        return max(0.0, (peak - res.log_magnitude) / _LN10)
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +31,6 @@ def pochhammer(a: float, m: int) -> float:
     for i in range(m):
         out *= a + i
     return out
-
-
-def pochhammer_log(a: float, m: int) -> SignedLogValue:
-    """Rising factorial in signed log space."""
-    if m < 0:
-        raise DomainError("pochhammer requires m >= 0")
-    sign = 1
-    log_mag = 0.0
-    for i in range(m):
-        f = a + i
-        if f == 0.0:
-            return SignedLogValue.zero()
-        if f < 0:
-            sign = -sign
-        log_mag += math.log(abs(f))
-    return SignedLogValue(sign, log_mag)
 
 
 def falling_factorial(x: float, r: int) -> float:
@@ -302,11 +190,6 @@ def upper_incomplete_gamma(c: float, x: float) -> float:
     return math.exp(log_upper_incomplete_gamma(c, x))
 
 
-@lru_cache(maxsize=200_000)
-def _log_gamma_cached(c: float, x: float) -> float:
-    return log_upper_incomplete_gamma(c, x)
-
-
 # ---------------------------------------------------------------------------
 # Exponential integral
 
@@ -320,36 +203,6 @@ def exp_integral_ei(z: float) -> float:
 # ---------------------------------------------------------------------------
 # Generalized factorial coefficients
 
-@lru_cache(maxsize=100_000)
-def gen_factorial_coeff_log(n: int, k: int, alpha: float) -> SignedLogValue:
-    """C(n, k, alpha) = (1/k!) sum_j (-1)^j binom(k, j) (-j alpha)_n,
-    in signed log space."""
-    if n < 0 or k < 0:
-        raise DomainError("gen_factorial_coeff requires n, k >= 0")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("gen_factorial_coeff requires alpha in (0, 1)")
-    if k > n:
-        return SignedLogValue.zero()
-    if n == 0:
-        return SignedLogValue.from_float(1.0)  # C(0,0,alpha) = 1
-    if k == 0:
-        return SignedLogValue.zero()  # C(n,0,alpha) = 0 for n >= 1
-    acc = SignedLogSum()
-    for j in range(k + 1):
-        p = pochhammer_log(-j * alpha, n)
-        if p.sign == 0:
-            continue
-        sign = p.sign if j % 2 == 0 else -p.sign
-        acc.add_signed(sign, p.log_magnitude + math.log(math.comb(k, j)))
-    res = acc.result()
-    return res.scaled(-math.lgamma(k + 1))
-
-
-def gen_factorial_coeff(n: int, k: int, alpha: float) -> float:
-    """Generalized factorial coefficient C(n, k, alpha) as a float."""
-    return gen_factorial_coeff_log(n, k, alpha).to_float()
-
-
 def gen_factorial_coeff_log_table(n_max: int, k_max: int,
                                   alpha: float) -> "np.ndarray":
     """log C(n, k, alpha) for all 0 <= n <= n_max, 0 <= k <= k_max, via
@@ -358,10 +211,8 @@ def gen_factorial_coeff_log_table(n_max: int, k_max: int,
         C(n+1, k) = (n - k alpha) C(n, k) + alpha C(n, k-1),
 
     whose terms stay positive for alpha in (0, 1).  Structural zeros are
-    -inf.  Much faster than the alternating series when a whole table is
-    needed (O(n_max * k_max) total).
+    -inf.  O(n_max * k_max) total.
     """
-    import numpy as np
     if n_max < 0 or k_max < 0:
         raise DomainError("table bounds must be nonnegative")
     if not 0.0 < alpha < 1.0:
@@ -380,6 +231,18 @@ def gen_factorial_coeff_log_table(n_max: int, k_max: int,
         table[n + 1, 1:kmax + 1] = np.logaddexp(same_k,
                                                 log_alpha + prev[0:kmax])
     return table
+
+
+def gen_factorial_coeff_log(n: int, k: int, alpha: float) -> float:
+    """log C(n, k, alpha), read from gen_factorial_coeff_log_table;
+    -inf where the coefficient vanishes (k > n, or k = 0 < n)."""
+    table = gen_factorial_coeff_log_table(n, min(k, n), alpha)
+    return float(table[n, k]) if k <= n else -math.inf
+
+
+def gen_factorial_coeff(n: int, k: int, alpha: float) -> float:
+    """Generalized factorial coefficient C(n, k, alpha) as a float."""
+    return math.exp(gen_factorial_coeff_log(n, k, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
-    # the exact singleton-count law refuses n this large
+    # the closed-form scale function overflows double precision at x = 0.1
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 50, "replicates": 10}))
-    assert main(["m1-check", "--seed", "1", "--config", str(cfg),
+    cfg.write_text(json.dumps({"params": {"beta": 50}}))
+    assert main(["boundary", "--seed", "1", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["two", "0", "-1"])
+def test_invalid_workers_env_exits_2(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("NIGDIFF_WORKERS", workers)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 20, "steps": 10, "betas": [0.0]}))
+    assert main(["figure1", "--seed", "1", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "NIGDIFF_WORKERS" in capsys.readouterr().err
 
 
 def test_boundary_experiment_outputs(tmp_path):

@@ -18,7 +18,7 @@ from nigdiff.diffusion import (ChainState, DiversityPath, FiniteDimState,
                                simulate_sde, speed_measure,
                                stationary_density_candidate,
                                stationary_tail_partial_integral)
-from nigdiff.errors import DomainError
+from nigdiff.errors import DomainError, NumericalError
 from nigdiff.gibbs import GGParams
 
 
@@ -200,6 +200,14 @@ def test_speed_measure_boundary_classification():
     heads = [speed_measure(1.0, d, beta) for d in (1e2, 1e4, 1e6)]
     assert heads[2] - heads[1] == pytest.approx(heads[1] - heads[0], rel=0.1)
     assert heads[-1] > 10.0
+
+
+def test_boundary_analytics_overflow_raises_numerical_error():
+    # e^(2 beta / x) = e^1000 and e^(2 beta) = e^1000 exceed double range
+    with pytest.raises(NumericalError):
+        scale_function(0.1, 50.0)
+    with pytest.raises(NumericalError):
+        speed_measure(0.5, 1.0, 500.0)
 
 
 def test_scale_function_diverges_at_zero():

@@ -1,6 +1,6 @@
 """Predictive weights, partition probabilities and singleton-count law,
 cross-checked between independent routes (50-digit alternating sums,
-adaptive quadrature, batch Gauss-Legendre, enumeration)."""
+adaptive quadrature, batch Gauss-Legendre, enumeration, urn draws)."""
 
 import math
 
@@ -18,6 +18,7 @@ from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
                            weights_gg_exact, weights_gg_quadrature,
                            weights_pd)
 from nigdiff.specfun import pochhammer
+from nigdiff.urn import sample_partition
 
 from conftest import all_shapes, set_partitions, shape_count
 
@@ -77,6 +78,17 @@ def test_exact_constraint_identity(beta):
         for k in range(1, n + 1):
             w = weights_gg_exact(n, k, params, max_condition=1e9)
             assert abs(w.g0 + (n - 0.5 * k) * w.g1 - 1.0) < 1e-12
+
+
+def test_exact_default_threshold_answers_ill_conditioned_pairs():
+    # these pairs cancel 17 and 13 digits of the 50 carried, and the
+    # default threshold still keeps 16 significant digits
+    for n, k, beta in ((50, 1, 10.0), (50, 7, 2.0)):
+        we = weights_gg_exact(n, k, gg(beta))
+        wq = weights_gg_quadrature(n, k, gg(beta))
+        assert we.condition_estimate > 12.0
+        assert we.g0 == pytest.approx(wq.g0, rel=1e-10)
+        assert we.g1 == pytest.approx(wq.g1, rel=1e-10)
 
 
 def test_exact_route_contracts():
@@ -217,12 +229,13 @@ def test_eppf_validation():
 # ---------------------------------------------------------------------------
 # Singleton-count law
 
-@pytest.mark.parametrize("beta", (0.5, 2.0))
+@pytest.mark.parametrize("beta", BETAS)
 def test_m1_pmf_normalizes(beta):
     params = gg(beta)
-    for n in (2, 5, 9, 12):
-        total = sum(m1_pmf(n, m, params) for m in range(0, n + 1))
-        assert total == pytest.approx(1.0, abs=1e-8)
+    for n in (2, 5, 9, 12, 40, 100):
+        law = [m1_pmf(n, m, params) for m in range(0, n + 1)]
+        assert all(0.0 <= p <= 1.0 for p in law)
+        assert sum(law) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_m1_pmf_matches_enumeration():
@@ -250,11 +263,21 @@ def test_m1_factorial_moment_matches_pmf():
                                                               rel=1e-6)
 
 
-def test_m1_refuses_large_n():
-    with pytest.raises(PrecisionLossError):
-        m1_pmf(41, 3, gg(1.0))
-    with pytest.raises(PrecisionLossError):
-        m1_factorial_moment(41, 1, gg(1.0))
+def test_m1_pmf_matches_urn_at_large_n(rng):
+    # n = 60 is far beyond what the enumeration test can reach
+    params = gg(2.0)
+    n, reps = 60, 6_000
+    counts = np.zeros(n + 1)
+    for _ in range(reps):
+        state = sample_partition(n, params, rng)
+        counts[sum(1 for s in state.block_sizes if s == 1)] += 1
+    pmf = np.array([m1_pmf(n, m, params) for m in range(n + 1)])
+    m = np.arange(n + 1)
+    mean = float(m @ pmf)
+    se = math.sqrt(float((m - mean) ** 2 @ pmf) / reps)
+    # the sampling TV at this size is about 0.02
+    assert 0.5 * np.abs(pmf - counts / reps).sum() < 0.05
+    assert abs(m @ counts / reps - mean) < 5.0 * se
 
 
 # ---------------------------------------------------------------------------
