@@ -17,8 +17,8 @@ class UnsupportedParameterError(NigdiffError, ValueError):
 class PrecisionLossError(NigdiffError, ArithmeticError):
     """An alternating sum cancelled beyond the configured threshold.
 
-    Callers should switch to the quadrature route when this is raised by
-    the exact Gibbs-weight evaluators.
+    Raised only by ``weights_gg_exact``, the 50-digit reference route;
+    ``weights_gg_quadrature`` answers every state without cancellation.
     """
 
     def __init__(self, message, condition_estimate=None):

@@ -2,22 +2,24 @@
 for generalized-gamma (in particular normalized inverse-Gaussian) and
 Poisson-Dirichlet random measures.
 
-Three routes are provided for the generalized-gamma predictive weights
-(g0, g1):
+Two routes are provided for the generalized-gamma predictive weights
+(g0, g1), plus an approximation:
 
 * ``weights_gg_exact`` — alternating sums of incomplete-gamma terms,
   evaluated in 50-digit arithmetic.  The sums cancel as n or beta
   grows; the routine refuses to answer once fewer than 16 significant
-  digits would survive.
-* ``weights_gg_quadrature`` — ratios of the normalizing constants
-  V(n, k), each computed by adaptive quadrature of a unimodal positive
-  integrand in shifted log space.  Slower but uniformly stable.
+  digits would survive.  It is the independent reference.
+* ``weights_gg_quadrature`` — read from one vectorized log-space kernel
+  that integrates the unimodal V(n, k) integrand with Newton-located
+  cut-offs and Gauss-Legendre nodes, returning log V(n, k) and
+  w(n, k) = E[x/(tau+x)], from which g1 = w/n and
+  g0 = 1 - (1 - alpha*k/n) w.  Uniformly stable, any alpha.
 * ``weights_gg_asymptotic`` — the second-order large-n approximation
   g0 = alpha*k/n + (beta/s_n)/n, g1 = 1/n - (beta/s_n)/n^2.
 
-A vectorized fixed-order Gauss-Legendre evaluator (``w_factor_batch``)
-backs the large-scale samplers, where millions of weight evaluations
-are needed and adaptive quadrature per point would be too slow.
+The same kernel backs ``log_v``, which scalar callers read, like
+``weights_gg_quadrature``, from one table of n-rows per parameter set,
+and ``g0_batch``, which evaluates arrays of states for the samplers.
 
 The partition laws (EPPF, singleton-count law and its factorial
 moments) are sums of positive terms V(n, k) times weighted partition
@@ -29,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy.special import gammaln
 
 from .errors import (DomainError, NumericalError, PrecisionLossError,
                      UnsupportedParameterError)
@@ -236,138 +237,124 @@ def _weights_stable(n: int, k: int, alpha: float) -> WeightPair:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature route: V(n, k) as a unimodal integral
+# Quadrature route: one log-space kernel for V(n, k) and w(n, k)
 
-def _log_integrand(x, n, k, a, tau, alpha):
-    """Log of the V(n, k) integrand
-    x^(n-1) exp{-(a/alpha)[(tau+x)^alpha - tau^alpha]} (tau+x)^(alpha*k-n),
-    vectorized over x (and over n, k when they are arrays)."""
-    return ((n - 1) * np.log(x)
-            - (a / alpha) * ((tau + x) ** alpha - tau ** alpha)
-            + (alpha * k - n) * np.log(tau + x))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_LOG_DROP = 40.0  # integrate where the log integrand is within 40 of its peak
 
 
-def _mode_poly(x, n, k, a, tau, alpha):
-    """x*(tau+x) times d/dx of the log integrand; positive left of the
-    mode, negative right of it."""
-    return (n - 1) * (tau + x) + (alpha * k - n) * x - a * x * (tau + x) ** alpha
-
-
-def _find_mode_scalar(n: int, k: int, params: GGParams) -> float:
+def _log_integrand(u, k, c, params: GGParams):
+    """(f, p, q) at u = log x, with c = n - alpha*k: f is the log of the
+    V(n, k) integrand x^n (tau+x)^(alpha*k-n) exp{-(a/alpha)(tau+x)^alpha}
+    in u (its constant factor e^beta left out), p = x/(tau+x) and
+    q = a (tau+x)^alpha."""
     a, tau, alpha = params.a, params.tau, params.alpha
-    if _mode_poly(1e-12, n, k, a, tau, alpha) <= 0:
-        return 0.0
-    hi = 1.0
-    while _mode_poly(hi, n, k, a, tau, alpha) > 0:
-        hi *= 2.0
-        if hi > 1e30:
-            raise NumericalError(
-                f"mode search diverged at n={n}, k={k}, params={params}")
-    from scipy.optimize import brentq
-    return float(brentq(lambda x: _mode_poly(x, n, k, a, tau, alpha),
-                        hi / 2.0 if hi > 1.0 else 1e-12, hi,
-                        xtol=1e-14, rtol=1e-14))
+    t = tau * np.exp(-u)
+    log1p_t = np.log1p(t)  # log(tau + x) - u
+    q = a * np.exp(alpha * (u + log1p_t))
+    return alpha * k * u - c * log1p_t - q / alpha, 1.0 / (1.0 + t), q
 
 
-_SCALAR_LOG_DROP = 80.0  # integrate where the log integrand is within 80
-#                          of its peak; the excluded tails carry < e^-60
-#                          of the mass even after width factors
+def _newton(step, u):
+    """Iterate u += step(u) on each element until it has taken a step
+    below 1e-6, so that an element's result does not depend on the
+    others in its batch."""
+    active = np.ones(u.shape, dtype=bool)
+    for _ in range(100):
+        du = step(u)
+        u = np.where(active, u + du, u)
+        active &= np.abs(du) >= 1e-6
+        if not active.any():
+            return u
+    raise NumericalError("Newton iteration on the V(n, k) integrand "
+                         "did not converge")
 
 
-@lru_cache(maxsize=200_000)
+def _log_v_w(n: np.ndarray, k: np.ndarray, params: GGParams):
+    """(log V(n, k), w(n, k)) for float arrays of states, a > 0.
+
+    In u = log x the integrand is strictly log-concave for every n >= 1,
+    so its mode is interior.  Newton finds the mode, starting from the
+    larger of the two large-x balances of f' = 0, a x^alpha = alpha*k
+    and a x^alpha = c*tau/x, with steps clipped to +-2, and then the
+    two points where the log integrand has dropped _LOG_DROP below its
+    peak, starting sigma*sqrt(2*_LOG_DROP) either side with
+    sigma = (-f'')^(-1/2) (concavity makes these iterates monotone once
+    they are outside the root).  A 64-node Gauss-Legendre rule on each
+    side of the mode gives V and, on the same nodes weighted by
+    x/(tau+x), the numerator of w(n, k) = E[x/(tau+x)].
+    """
+    a, tau, alpha = params.a, params.tau, params.alpha
+    n, k = n[:, None, None], k[:, None, None]  # (state, side, node)
+    c = n - alpha * k
+
+    def derivatives(u):
+        f, p, q = _log_integrand(u, k, c, params)
+        d2 = -(c + q) * p * (1.0 - p) - alpha * q * p * p
+        return f, n - (c + q) * p, d2
+
+    def mode_step(u):
+        _, d1, d2 = derivatives(u)
+        return np.clip(-d1 / d2, -2.0, 2.0)
+
+    mode = _newton(mode_step, np.maximum(np.log(alpha * k / a) / alpha,
+                                         np.log(c * tau / a) / (1.0 + alpha)))
+    peak, _, d2 = derivatives(mode)
+
+    def cut_step(u):
+        f, d1, _ = derivatives(u)
+        return (peak - _LOG_DROP - f) / d1
+
+    sides = np.array([[-1.0], [1.0]])
+    cuts = _newton(cut_step, mode + sides * np.sqrt(2.0 * _LOG_DROP / -d2))
+    half = 0.5 * (cuts - mode)
+    f, p, _ = _log_integrand(mode + half * (1.0 + _GL_NODES), k, c, params)
+    mass = np.exp(f - peak) * _GL_WEIGHTS * np.abs(half)
+    den = mass.sum(axis=(1, 2))
+    log_v = (peak.ravel() + params.beta + np.log(den)
+             + k.ravel() * math.log(a) - gammaln(n.ravel()))
+    return log_v, (mass * p).sum(axis=(1, 2)) / den
+
+
+_rows = {}  # params -> {n: (log V(n, k), w(n, k)) for k = 1..top}
+
+
+def _row(n: int, k: int, params: GGParams):
+    """The kernel's n-row, k = 1..top with top >= k.  A row is built up
+    to top = max(2k, 64), capped at n, and rebuilt when a larger k is
+    asked for, so it at least doubles each time: a walk that needs one
+    k per n, as the urn does, pays for O(k) states per n, not n."""
+    rows = _rows.setdefault(params, {})
+    row = rows.get(n)
+    if row is None or k > len(row[0]):
+        top = min(n, max(2 * k, 64))
+        row = rows[n] = _log_v_w(np.full(top, float(n)),
+                                 np.arange(1.0, top + 1.0), params)
+    return row
+
+
 def log_v(n: int, k: int, params: GGParams) -> float:
     """log V(n, k): normalizing constant of the Gibbs partition law,
-    V(n, k) = (a^k / Gamma(n)) * integral of the unimodal integrand.
-
-    Computed by adaptive quadrature of exp(log-integrand - peak), with
-    the domain split at the mode and truncated where the integrand has
-    dropped _SCALAR_LOG_DROP below the peak (an infinite upper limit
-    makes the adaptive rule unreliable when the mode is very large).
-    """
-    from scipy.optimize import brentq
+    V(n, k) = (a^k / Gamma(n)) * integral of the unimodal integrand
+    x^(n-1) exp{-(a/alpha)[(tau+x)^alpha - tau^alpha]} (tau+x)^(alpha*k-n)
+    over x > 0, read from the kernel's n-row."""
     _check_nk(n, k)
-    a, tau, alpha = params.a, params.tau, params.alpha
+    a, alpha = params.a, params.alpha
     if a == 0.0:
         # the integral diverges at a = 0, but V has an elementary form
         return (k - 1) * math.log(alpha) + math.lgamma(k) - math.lgamma(n)
-    mode = _find_mode_scalar(n, k, params)
-    if mode > 0:
-        gmax = float(_log_integrand(mode, n, k, a, tau, alpha))
-    else:
-        # integrand decreasing from x = 0+ (only possible at n = 1)
-        gmax = float((alpha * k - n) * math.log(tau))
-
-    log_tau_a = tau ** alpha
-
-    def log_f(x):
-        # pure-math scalar form of _log_integrand (quad calls pointwise,
-        # where numpy scalar arithmetic would dominate the cost)
-        return ((n - 1) * math.log(x)
-                - (a / alpha) * ((tau + x) ** alpha - log_tau_a)
-                + (alpha * k - n) * math.log(tau + x))
-
-    def f(x):
-        if x <= 0.0:
-            return 0.0 if n > 1 else math.exp(
-                (alpha * k - n) * math.log(tau) - gmax)
-        return math.exp(log_f(x) - gmax)
-
-    def g(x):
-        return log_f(x) - gmax + _SCALAR_LOG_DROP
-
-    total = 0.0
-    if mode > 0:
-        # left cutoff (only when the integrand vanishes at 0, i.e. n > 1)
-        x_lo = 0.0
-        if n > 1:
-            lo = 0.5 * mode
-            while lo > 1e-300 and g(lo) > 0.0:
-                lo *= 0.5
-            if g(lo) <= 0.0:
-                # the cutoff only needs to sit near the -80 contour, so a
-                # loose tolerance suffices (the excess tail is ~e^-80)
-                x_lo = float(brentq(g, lo, mode, xtol=1e-300, rtol=1e-3))
-        left, _ = integrate.quad(f, x_lo, mode, epsabs=1e-13,
-                                 epsrel=1e-11, limit=200)
-        total += left
-    hi = 2.0 * max(mode, 1.0)
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericalError(
-                f"right-cutoff search diverged for V({n}, {k})")
-    x_hi = float(brentq(g, max(mode, 1e-300), hi, rtol=1e-3))
-    right, _ = integrate.quad(f, mode, x_hi, epsabs=1e-13,
-                              epsrel=1e-11, limit=200)
-    total += right
-    if not np.isfinite(total) or total <= 0.0:
-        raise NumericalError(
-            f"quadrature failed for V({n}, {k}) with params={params}: "
-            f"integral={total}")
-    return gmax + math.log(total) + k * math.log(a) - math.lgamma(n)
+    return float(_row(n, k, params)[0][k - 1])
 
 
-def w_factor(n: int, k: int, params: GGParams) -> float:
-    """w(n, k) = E[x/(tau+x)] under the V(n, k) integrand, so that
-    g1 = w/n and g0 = 1 - (1 - alpha*k/n) * w."""
-    _check_nk(n, k)
-    if params.a == 0.0:
-        return 1.0
-    # w(n, k) = V(n+1, k) * n / V(n, k): adding a factor x/(tau+x) to the
-    # integrand turns x^{n-1}(tau+x)^{alpha k - n} into the (n+1, k) kernel.
-    return math.exp(log_v(n + 1, k, params) - log_v(n, k, params)) * n
-
-
-@lru_cache(maxsize=200_000)
 def weights_gg_quadrature(n: int, k: int, params: GGParams) -> WeightPair:
-    """Predictive weights as ratios of quadrature-evaluated V(n, k)."""
+    """Predictive weights from the kernel's w(n, k), the mean of
+    x/(tau+x) under the V(n, k) integrand: g1 = V(n+1, k)/V(n, k) = w/n
+    and g0 = 1 - (1 - alpha*k/n) w."""
     _check_nk(n, k)
     if params.a == 0.0:
         return _weights_stable(n, k, params.alpha)
-    lv = log_v(n, k, params)
-    g0 = math.exp(log_v(n + 1, k + 1, params) - lv)
-    g1 = math.exp(log_v(n + 1, k, params) - lv)
-    return WeightPair(g0=g0, g1=g1, condition_estimate=0.0)
+    w = float(_row(n, k, params)[1][k - 1])
+    return WeightPair(g0=1.0 - (1.0 - params.alpha * k / n) * w, g1=w / n)
 
 
 def weights_gg_asymptotic(n: int, k: int, params: GGParams) -> WeightPair:
@@ -386,121 +373,16 @@ def weights_gg_asymptotic(n: int, k: int, params: GGParams) -> WeightPair:
                       condition_estimate=0.0)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized fixed-order evaluator for the samplers
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_LOG_DROP = 40.0  # integrate where the log integrand is within 40 of its peak
-
-
-def _bisect_vec(f, pos_end, neg_end, iters):
-    """Vectorized bisection: f > 0 at pos_end, f <= 0 at neg_end.
-    The two ends may be in either numeric order."""
-    for _ in range(iters):
-        mid = 0.5 * (pos_end + neg_end)
-        pos = f(mid) > 0
-        pos_end = np.where(pos, mid, pos_end)
-        neg_end = np.where(pos, neg_end, mid)
-    return 0.5 * (pos_end + neg_end)
-
-
-def _gl_panel(f, a, b):
-    """64-node Gauss-Legendre of f over per-row intervals [a, b];
-    f maps an (m, 64) grid to integrand values."""
-    half = 0.5 * (b - a)[:, None]
-    x = 0.5 * (a + b)[:, None] + half * _GL_NODES[None, :]
-    return (f(x) * _GL_WEIGHTS[None, :] * half).sum(axis=1), x
-
-
-def w_factor_batch(n_arr: np.ndarray, k_arr: np.ndarray,
-                   params: GGParams) -> np.ndarray:
-    """w(n, k) for arrays of states, via fixed-order Gauss-Legendre on
-    the common V(n, k) grid (the numerator and denominator share nodes,
-    so the ratio is insensitive to the shared normalization error).
-
-    Requires n >= 2 elementwise (scalar routes cover n = 1).
-    """
-    n = np.asarray(n_arr, dtype=float)
-    k = np.asarray(k_arr, dtype=float)
-    if np.any(n < 2):
-        raise DomainError("w_factor_batch requires n >= 2; use w_factor")
-    if params.a == 0.0:
-        return np.ones_like(n)
-    a, tau, alpha = params.a, params.tau, params.alpha
-
-    def h(x):
-        return _mode_poly(x, n, k, a, tau, alpha)
-
-    # mode: h > 0 at 0+ (n >= 2), h -> -inf; bracket by doubling
-    hi = np.ones_like(n)
-    for _ in range(100):
-        mask = h(hi) > 0
-        if not mask.any():
-            break
-        hi = np.where(mask, 2.0 * hi, hi)
-    else:
-        raise NumericalError("batch mode search failed to bracket")
-    mode = _bisect_vec(h, np.zeros_like(n), hi, 50)
-
-    def g(x):
-        return _log_integrand(x, n, k, a, tau, alpha)
-
-    gmax = g(mode)
-    target = gmax - _LOG_DROP
-
-    # left cutoff: g increasing on (0, mode); halve until below target
-    lo = 0.5 * mode
-    for _ in range(200):
-        with np.errstate(divide="ignore"):
-            mask = g(lo) > target
-        if not mask.any():
-            break
-        lo = np.where(mask, 0.5 * lo, lo)
-    else:
-        raise NumericalError("batch left-cutoff search failed")
-    x_lo = _bisect_vec(lambda x: g(x) - target, mode, lo, 50)
-
-    # right cutoff: double until below target
-    hi = 2.0 * np.maximum(mode, 1.0)
-    for _ in range(200):
-        mask = g(hi) > target
-        if not mask.any():
-            break
-        hi = np.where(mask, 2.0 * hi, hi)
-    else:
-        raise NumericalError("batch right-cutoff search failed")
-    x_hi = _bisect_vec(lambda x: g(x) - target, mode, hi, 50)
-
-    n_col, k_col = n[:, None], k[:, None]
-
-    def shifted(x):
-        return np.exp(_log_integrand(x, n_col, k_col, a, tau, alpha)
-                      - gmax[:, None])
-
-    # two panels per side; the right side is split near the mode because
-    # for small n the tail window is wide relative to the peak
-    edges = (x_lo, x_lo + 0.5 * (mode - x_lo), mode,
-             mode + 0.125 * (x_hi - mode), x_hi)
-    den = np.zeros_like(n)
-    num = np.zeros_like(n)
-    for lo_b, hi_b in zip(edges[:-1], edges[1:]):
-        part, x = _gl_panel(shifted, lo_b, hi_b)
-        den += part
-        part_w, _ = _gl_panel(lambda xx: shifted(xx) * (xx / (tau + xx)),
-                              lo_b, hi_b)
-        num += part_w
-    if np.any(den <= 0) or not np.all(np.isfinite(den)):
-        raise NumericalError("batch quadrature produced a nonpositive "
-                             "normalizer")
-    return num / den
-
-
 def g0_batch(n_arr: np.ndarray, k_arr: np.ndarray,
              params: GGParams) -> np.ndarray:
-    """g0(n, k) for arrays of states via the w-decomposition."""
+    """g0(n, k) = 1 - (1 - alpha*k/n) w(n, k) for arrays of states."""
     n = np.asarray(n_arr, dtype=float)
     k = np.asarray(k_arr, dtype=float)
-    w = w_factor_batch(n_arr, k_arr, params)
+    if np.any((k < 1) | (k > n)):
+        raise DomainError("states must have 1 <= k <= n")
+    if params.a == 0.0:
+        return params.alpha * k / n
+    w = _log_v_w(n, k, params)[1]
     return np.clip(1.0 - (1.0 - params.alpha * k / n) * w, 0.0, 1.0)
 
 

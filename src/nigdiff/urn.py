@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, PrecisionLossError
-from .gibbs import (GGParams, PDParams, WeightPair, g0_batch, weights_gg_exact,
+from .errors import DomainError, InternalConsistencyError
+from .gibbs import (GGParams, PDParams, WeightPair, g0_batch,
                     weights_gg_quadrature, weights_pd)
 
 
@@ -82,19 +82,12 @@ class GemWeights:
 
 @lru_cache(maxsize=500_000)
 def predictive_weights(n: int, k: int, params) -> WeightPair:
-    """Dispatch to the appropriate weight route for the parameter type;
-    for the generalized-gamma family, try the exact sums and fall back
-    to quadrature when they are too ill-conditioned."""
+    """Predictive weights for the parameter type, memoized per state so
+    that event loops get the stored pair back: the closed form for
+    Poisson-Dirichlet, the quadrature kernel for generalized gamma."""
     if isinstance(params, PDParams):
         return weights_pd(n, k, params)
     if isinstance(params, GGParams):
-        # the alternating sums have O(n) terms and are hopeless for large
-        # n anyway, so skip straight to quadrature beyond a size gate
-        if params.alpha == 0.5 and n <= 120:
-            try:
-                return weights_gg_exact(n, k, params)
-            except PrecisionLossError:
-                pass
         return weights_gg_quadrature(n, k, params)
     raise DomainError(f"unsupported parameter type {type(params)!r}")
 
@@ -147,14 +140,9 @@ def sample_k_batch(n: int, params: GGParams, replicates: int,
         raise DomainError("n must be >= 1")
     k = np.ones(replicates, dtype=np.int64)
     for m in range(1, n):
-        if m == 1:
-            g0 = np.full(replicates, predictive_weights(1, 1, params).g0)
-        else:
-            uk = np.unique(k)
-            g0_uk = g0_batch(np.full(uk.shape, float(m)),
-                             uk.astype(float), params)
-            g0 = g0_uk[np.searchsorted(uk, k)]
-        k += rng.random(replicates) < g0
+        uk = np.unique(k)
+        g0 = g0_batch(np.full(uk.shape, float(m)), uk.astype(float), params)
+        k += rng.random(replicates) < g0[np.searchsorted(uk, k)]
     return k
 
 

@@ -1,6 +1,7 @@
 """Predictive weights, partition probabilities and singleton-count law,
 cross-checked between independent routes (50-digit alternating sums,
-adaptive quadrature, batch Gauss-Legendre, enumeration, urn draws)."""
+the Gauss-Legendre weight kernel, the adaptive-quadrature oracle,
+enumeration, urn draws)."""
 
 import math
 
@@ -13,14 +14,13 @@ from nigdiff.errors import (DomainError, PrecisionLossError,
                             UnsupportedParameterError)
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
                            conditional_phi2_mean, eppf, eppf_log, g0_batch,
-                           log_v, m1_factorial_moment, m1_pmf, w_factor,
-                           w_factor_batch, weights_gg_asymptotic,
-                           weights_gg_exact, weights_gg_quadrature,
-                           weights_pd)
+                           log_v, m1_factorial_moment, m1_pmf,
+                           weights_gg_asymptotic, weights_gg_exact,
+                           weights_gg_quadrature, weights_pd)
 from nigdiff.specfun import pochhammer
 from nigdiff.urn import sample_partition
 
-from conftest import all_shapes, set_partitions, shape_count
+from conftest import adaptive_log_v, all_shapes, set_partitions, shape_count
 
 BETAS = (0.5, 2.0, 10.0)
 
@@ -61,14 +61,12 @@ def test_weights_pd_constraint():
 @pytest.mark.parametrize("beta", BETAS)
 def test_exact_vs_quadrature(beta):
     params = gg(beta)
-    for n in (2, 5, 10, 30, 50):
-        for k in sorted({1, 2, n // 2, n - 1, n}):
-            if k < 1:
-                continue
+    for n in range(1, 51):
+        for k in range(1, n + 1):
             we = weights_gg_exact(n, k, params, max_condition=45.0)
             wq = weights_gg_quadrature(n, k, params)
-            assert we.g0 == pytest.approx(wq.g0, rel=1e-8)
-            assert we.g1 == pytest.approx(wq.g1, rel=1e-8)
+            assert we.g0 == pytest.approx(wq.g0, rel=1e-12)
+            assert we.g1 == pytest.approx(wq.g1, rel=1e-12)
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -129,36 +127,59 @@ def test_v_recursion(beta):
 
 
 def test_w_decomposition_consistency():
+    # w(n, k) = n V(n+1, k) / V(n, k), the mean of x/(tau+x) under the
+    # V(n, k) integrand
     params = gg(2.0)
     for n, k in ((2, 1), (10, 4), (60, 15), (200, 28)):
-        w = w_factor(n, k, params)
+        w = n * math.exp(log_v(n + 1, k, params) - log_v(n, k, params))
         pair = weights_gg_quadrature(n, k, params)
         assert pair.g1 == pytest.approx(w / n, rel=1e-9)
         assert pair.g0 == pytest.approx(1.0 - (1.0 - 0.5 * k / n) * w,
                                         rel=1e-8)
 
 
-def test_w_factor_batch_matches_scalar():
+@pytest.mark.parametrize("beta", BETAS)
+def test_log_v_matches_adaptive_oracle(beta):
+    params = gg(beta)
+    states = [(n, k) for n in range(1, 61) for k in range(1, n + 1)]
+    states += [(n, k) for n in (200, 1000, 10_000)
+               for k in sorted({1, 2, 7, math.isqrt(n), 3 * math.isqrt(n),
+                                n // 2, n - 1, n})]
+    for n, k in states:
+        assert math.exp(log_v(n, k, params) - adaptive_log_v(n, k, params)) \
+            == pytest.approx(1.0, abs=1e-10)
+
+
+def test_batch_matches_scalar_rows():
+    # one batch call over mixed n gives what the scalar readers take from
+    # their per-n rows
     params = gg(2.0)
-    states = [(2, 1), (5, 5), (17, 3), (120, 60), (1000, 64), (5000, 141)]
-    n = np.array([s[0] for s in states], dtype=float)
-    k = np.array([s[1] for s in states], dtype=float)
-    batch = w_factor_batch(n, k, params)
-    for i, (nn, kk) in enumerate(states):
-        assert batch[i] == pytest.approx(w_factor(nn, kk, params), rel=1e-6)
-    with pytest.raises(DomainError):
-        w_factor_batch(np.array([1.0]), np.array([1.0]), params)
-
-
-def test_g0_batch_matches_quadrature():
-    params = gg(0.5)
-    states = [(3, 2), (50, 14), (400, 40)]
+    states = [(1, 1), (2, 1), (5, 5), (17, 3), (120, 60), (1000, 64),
+              (5000, 141)]
     n = np.array([s[0] for s in states], dtype=float)
     k = np.array([s[1] for s in states], dtype=float)
     batch = g0_batch(n, k, params)
     for i, (nn, kk) in enumerate(states):
         assert batch[i] == pytest.approx(
-            weights_gg_quadrature(nn, kk, params).g0, rel=1e-6)
+            weights_gg_quadrature(nn, kk, params).g0, rel=1e-12)
+    with pytest.raises(DomainError):
+        g0_batch(np.array([3.0]), np.array([4.0]), params)
+
+
+def test_g0_batch_matches_quadrature():
+    # g0(n, k) = V(n+1, k+1) / V(n, k) from the adaptive-quadrature oracle
+    states = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1),
+              (4, 2), (50, 14), (400, 40), (5000, 1), (5000, 141),
+              (5000, 2500)]
+    n = np.array([s[0] for s in states], dtype=float)
+    k = np.array([s[1] for s in states], dtype=float)
+    for beta in BETAS:
+        params = gg(beta)
+        batch = g0_batch(n, k, params)
+        for i, (nn, kk) in enumerate(states):
+            oracle = math.exp(adaptive_log_v(nn + 1, kk + 1, params)
+                              - adaptive_log_v(nn, kk, params))
+            assert batch[i] == pytest.approx(oracle, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
