@@ -10,8 +10,7 @@ from .gibbs import (GGParams, PDParams, WeightPair, conditional_pair_probability
                     m1_factorial_moment, m1_pmf, weights_gg_asymptotic,
                     weights_gg_exact, weights_gg_quadrature, weights_pd)
 from .specfun import (alpha_diversity_density, exp_integral_ei,
-                      gen_factorial_coeff, pochhammer, stable_half_density,
-                      upper_incomplete_gamma)
+                      gen_factorial_coeff, pochhammer, stable_half_density)
 from .urn import (GemWeights, PartitionState, ordered_frequencies,
                   predictive_weights, sample_gem, sample_k_batch,
                   sample_partition, urn_step)
@@ -23,8 +22,8 @@ from .diffusion import (ChainState, DiversityPath, FiniteDimState,
                         simulate_sde, speed_measure,
                         stationary_density_candidate)
 from .particle import (ParticleSystem, conditioned_phi2_average,
-                       conditioned_step, moran_phi2_drift, moran_step,
-                       run_conditioned_phi2, run_moran, simulate_rescaled)
+                       conditioned_step, moran_ensemble, moran_phi2_drift,
+                       moran_step, run_conditioned_phi2, simulate_rescaled)
 
 __version__ = "0.1.0"
 

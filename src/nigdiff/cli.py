@@ -299,20 +299,31 @@ def _exp_generator_check(cfg, params, seed):
     paths = int(cfg.get("paths", 10_000))
     h = float(cfg.get("h", 0.004))
     m = int(cfg.get("m", 2))
-    rng = _rng(seed)
-    sys0 = particle.ParticleSystem.initialize(n, params, rng)
-    base = sys0.assignments
+    events = int(n * n * h / 2.0)
+    if not isinstance(params, GGParams):
+        raise UsageError("generator-check needs generalized-gamma params "
+                         "(a, tau, alpha or beta)")
+    if n < 2:
+        raise UsageError(f"generator-check needs n >= 2, got {n}")
+    if paths < 2:
+        raise UsageError("generator-check needs paths >= 2 for a standard "
+                         f"error, got {paths}")
+    if m < 2:
+        raise UsageError(f"generator-check needs m >= 2, got {m}")
+    if events < 1:
+        raise UsageError("generator-check needs n^2 h / 2 >= 1 event, got "
+                         f"{n * n * h / 2.0:g}")
+    sys0 = particle.ParticleSystem.initialize(n, params, _rng(seed))
     s = sys0.K / math.sqrt(n)
     point = diffusion.SimplexPoint(coords=sys0.ordered_frequencies(),
                                    truncation_len=sys0.K)
     predicted = diffusion.generator_action_power_sum(m, s, point, params)
     phi0 = sys0.phi(m)
-    events = int(n * n * h / 2.0)
-    samples = np.empty(paths)
-    for rep in range(paths):
-        sys_rep = particle.ParticleSystem(base)
-        particle.run_moran(sys_rep, events, params, _rng(seed, rep + 1))
-        samples[rep] = sys_rep.phi(m)
+    start = np.broadcast_to(sys0.assignments, (paths, n))
+    counts = particle.moran_ensemble(start, events, params, _rng(seed, 1))[1]
+    samples = np.zeros(paths)
+    for column in counts.T:  # by slot, to keep temporaries at O(paths)
+        samples += (column / n) ** m
     fd = (samples.mean() - phi0) / h
     se = samples.std(ddof=1) / math.sqrt(paths) / h
     rows = [[m, h, fd, se, predicted, (fd - predicted) / se]]

@@ -373,17 +373,23 @@ def weights_gg_asymptotic(n: int, k: int, params: GGParams) -> WeightPair:
                       condition_estimate=0.0)
 
 
-def g0_batch(n_arr: np.ndarray, k_arr: np.ndarray,
-             params: GGParams) -> np.ndarray:
-    """g0(n, k) = 1 - (1 - alpha*k/n) w(n, k) for arrays of states."""
+def weights_gg_batch(n_arr: np.ndarray, k_arr: np.ndarray, params: GGParams):
+    """(g0, g1) arrays for arrays of states, unclipped: the kernel's
+    g1 = w/n and g0 = 1 - (1 - alpha*k/n) w, or the a = 0 closed form."""
     n = np.asarray(n_arr, dtype=float)
     k = np.asarray(k_arr, dtype=float)
     if np.any((k < 1) | (k > n)):
         raise DomainError("states must have 1 <= k <= n")
     if params.a == 0.0:
-        return params.alpha * k / n
+        return params.alpha * k / n, 1.0 / n
     w = _log_v_w(n, k, params)[1]
-    return np.clip(1.0 - (1.0 - params.alpha * k / n) * w, 0.0, 1.0)
+    return 1.0 - (1.0 - params.alpha * k / n) * w, w / n
+
+
+def g0_batch(n_arr: np.ndarray, k_arr: np.ndarray,
+             params: GGParams) -> np.ndarray:
+    """g0(n, k) = 1 - (1 - alpha*k/n) w(n, k) for arrays of states."""
+    return np.clip(weights_gg_batch(n_arr, k_arr, params)[0], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

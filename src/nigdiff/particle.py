@@ -9,6 +9,12 @@ probability g1(n-1, k_r) * (n_j - alpha).  Copy moves are realized by
 rejection: pick a uniform surviving particle of type t, accept with
 probability (n_t - alpha)/n_t, which makes every event O(1) regardless
 of the number of types.
+
+The dynamics run in two forms.  ``moran_ensemble`` advances R
+independent replicas in lockstep on (R, n) numpy arrays, for the many
+short runs of the generator and stationarity checks; ``moran_step``
+and the conditioned steps on a ``ParticleSystem`` are the scalar loop
+for single long trajectories (``simulate_rescaled``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams
+from .gibbs import GGParams, PDParams, weights_gg_batch, weights_pd
 from .urn import PartitionState, predictive_weights, sample_partition
 
 
@@ -63,16 +69,6 @@ class ParticleSystem:
                    ) -> "ParticleSystem":
         """Start from the n-sample exchangeable law of the urn."""
         return ParticleSystem.from_partition(sample_partition(n, params, rng))
-
-    def to_partition_state(self) -> PartitionState:
-        """From-scratch recount of the assignments."""
-        counts = {}
-        for t in self.assignments:
-            counts[t] = counts.get(t, 0) + 1
-        ids = sorted(counts)
-        return PartitionState(block_sizes=[counts[i] for i in ids],
-                              block_ids=ids,
-                              next_block_id=self.next_fresh_id)
 
     def phi(self, m: int) -> float:
         """Power sum of relative frequencies, sum (n_j/n)^m."""
@@ -164,11 +160,99 @@ def moran_step(sys: ParticleSystem, params, rng: np.random.Generator
     return sys
 
 
-def run_moran(sys: ParticleSystem, steps: int, params,
-              rng: np.random.Generator) -> ParticleSystem:
-    for _ in range(steps):
-        moran_step(sys, params, rng)
-    return sys
+_TABLE_BLOCK = 64  # kernel states per weight call, to bound its temporaries
+
+
+def _g0_table(n: int, params) -> np.ndarray:
+    """g0(n-1, k) for k = 1..n-1, each entry checked as ``moran_step``
+    checks the weights of one event, before any use."""
+    m = n - 1
+    k = np.arange(1, n)
+    if isinstance(params, PDParams):
+        pairs = [weights_pd(m, int(j), params) for j in k]
+        g0 = np.array([w.g0 for w in pairs])
+        g1 = np.array([w.g1 for w in pairs])
+    elif isinstance(params, GGParams):
+        blocks = [weights_gg_batch(np.full(part.size, m), part, params)
+                  for part in np.split(k, range(_TABLE_BLOCK, m,
+                                                _TABLE_BLOCK))]
+        g0 = np.concatenate([b[0] for b in blocks])
+        g1 = np.concatenate([b[1] for b in blocks])
+    else:
+        raise DomainError(f"unsupported parameter type {type(params)!r}")
+    total = g0 + g1 * (m - params.alpha * k)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-9))
+    if bad.size:
+        j = bad[0]
+        raise InternalConsistencyError(
+            f"replacement probabilities sum to {total[j]!r} at n={n}, "
+            f"k={j + 1}")
+    return g0
+
+
+def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
+    """Run ``events`` Moran events on each of R independent replicas in
+    lockstep: per replica the law of ``events`` calls of ``moran_step``.
+
+    ``slots`` is an (R, n) integer array: particle j of replica r has
+    the type held in slot ``slots[r, j]``, 0 <= slot < n (a broadcast
+    view such as ``np.broadcast_to(start, (R, n))`` is copied).  Returns
+    the final ``(slots, counts)``, two int32 (R, n) arrays with
+    ``counts[r, t]`` the number of particles of replica r in slot t.
+
+    Each step removes one uniform particle per replica, reads g0 from a
+    table over k_r = 1..n-1 built once per call, and puts a fresh type
+    in an empty slot: the freed slot when the removed particle was a
+    singleton, otherwise the row's first empty slot.  A slot is reused
+    once it has emptied, which is harmless because only counts are
+    observed.  Copies are accepted by rejection on the shrinking set of
+    rows still unaccepted: a uniform particle j != i is drawn and its
+    type t taken with probability (c_t - alpha)/c_t.
+    """
+    slots = np.array(slots, dtype=np.int32, order="C")
+    if slots.ndim != 2:
+        raise DomainError("slots must be an (R, n) array")
+    reps, n = slots.shape
+    if n < 2:
+        raise DomainError("moran_ensemble requires n >= 2")
+    if events < 0:
+        raise DomainError("events must be >= 0")
+    if slots.size and (slots.min() < 0 or slots.max() >= n):
+        raise DomainError("slots must lie in 0..n-1")
+    g0 = _g0_table(n, params)
+    alpha = params.alpha
+    rows = np.arange(reps)
+    counts = np.zeros((reps, n), dtype=np.int32)
+    for column in slots.T:
+        counts[rows, column] += 1
+    k = np.count_nonzero(counts, axis=1)
+    # flat views: particle (r, j) is at r*n + j, slot (r, t) at r*n + t
+    flat_slots, flat_counts = slots.reshape(-1), counts.reshape(-1)
+    offsets = rows * n
+    for _ in range(events):
+        removed = offsets + rng.integers(n, size=reps)
+        slot = offsets + flat_slots[removed]
+        c = flat_counts[slot]
+        flat_counts[slot] = c - 1
+        singleton = c == 1
+        k -= singleton
+        fresh = rng.random(reps) < g0[k - 1]
+        moved = rows[fresh & ~singleton]
+        slot[moved] = offsets[moved] + np.argmax(counts[moved] == 0, axis=1)
+        flat_counts[slot[fresh]] += 1
+        flat_slots[removed[fresh]] = slot[fresh] - offsets[fresh]
+        k += fresh
+        pending = np.flatnonzero(~fresh)
+        target = removed[pending]
+        while pending.size:
+            j = offsets[pending] + rng.integers(n, size=pending.size)
+            t = offsets[pending] + flat_slots[j]
+            ct = flat_counts[t]
+            ok = (j != target) & (rng.random(pending.size) * ct < ct - alpha)
+            flat_slots[target[ok]] = flat_slots[j[ok]]
+            flat_counts[t[ok]] += 1
+            pending, target = pending[~ok], target[~ok]
+    return slots, counts
 
 
 def conditioned_step(sys: ParticleSystem, params, rng: np.random.Generator

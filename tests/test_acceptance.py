@@ -21,7 +21,7 @@ from nigdiff.diffusion import (ChainState, SimplexPoint,
 from nigdiff.gibbs import (GGParams, conditional_phi2_mean, eppf, log_v,
                            m1_pmf, weights_gg_exact, weights_gg_quadrature)
 from nigdiff.particle import (ParticleSystem, conditioned_phi2_average,
-                              run_moran)
+                              moran_ensemble)
 from nigdiff.specfun import alpha_diversity_density
 from nigdiff.urn import sample_k_batch, sample_partition
 
@@ -303,14 +303,13 @@ def test_criterion_11_moran_preserves_partition_law(report):
     t0 = time.perf_counter()
     params = NIG
     n, steps, reps = 50, 10_000, 1_000
-    before = np.empty(reps, dtype=int)
-    after = np.empty(reps, dtype=int)
     rng = np.random.default_rng(np.random.SeedSequence([2024, 11]))
-    for r in range(reps):
-        sys_ = ParticleSystem.initialize(n, params, rng)
-        before[r] = sys_.K
-        run_moran(sys_, steps, params, rng)
-        after[r] = sys_.K
+    starts = [sample_partition(n, params, rng) for _ in range(reps)]
+    before = np.array([state.K for state in starts])
+    slots = np.array([np.repeat(np.arange(state.K), state.block_sizes)
+                      for state in starts])
+    _, counts = moran_ensemble(slots, steps, params, rng)
+    after = np.count_nonzero(counts, axis=1)
     cb = np.bincount(before, minlength=n + 1).astype(float)
     ca = np.bincount(after, minlength=n + 1).astype(float)
     # merge sparse bins so every cell of the contingency table is >= 5
@@ -348,13 +347,10 @@ def test_criterion_12_generator_matches_semigroup_derivative(report):
 
     def fd_estimate(step_h, seed_base):
         events = int(round(n * n * step_h / 2.0))
-        samples = np.empty(paths)
-        for rep in range(paths):
-            sys_ = ParticleSystem(base)
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed_base, rep]))
-            run_moran(sys_, events, params, rng)
-            samples[rep] = sys_.phi(2)
+        rng = np.random.default_rng(np.random.SeedSequence([seed_base]))
+        _, counts = moran_ensemble(np.broadcast_to(base, (paths, n)),
+                                   events, params, rng)
+        samples = np.einsum("ij,ij->i", counts, counts) / (n * n)
         fd = (samples.mean() - phi0) / step_h
         se = samples.std(ddof=1) / math.sqrt(paths) / step_h
         return fd, se

@@ -116,3 +116,30 @@ def test_m1_check_small_n_reports_small_tv(tmp_path):
     lines = (tmp_path / "o" / "m1.csv").read_text().splitlines()
     tv = float(lines[-1].split(",")[1])
     assert tv < 0.02
+
+
+@pytest.mark.parametrize("cfg", [
+    {"params": {"theta": 1.0}, "n": 20, "paths": 20},   # no beta to use
+    {"n": 1, "paths": 20},                              # no particle pair
+    {"n": 20, "paths": 1},                              # no standard error
+    {"n": 10, "paths": 20, "h": 0.001},                 # n^2 h / 2 < 1
+])
+def test_generator_check_bad_config_exits_2(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generator-check", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "generator-check" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "generator.csv").exists()
+
+
+def test_generator_check_is_byte_identical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 40, "paths": 200, "h": 0.01}))
+    for out in ("a", "b"):
+        assert main(["generator-check", "--seed", "3", "--config", str(cfg),
+                     "--out", str(tmp_path / out)]) == 0
+    first = tmp_path / "a" / "generator.csv"
+    assert _sha(first) == _sha(tmp_path / "b" / "generator.csv")
+    z = float(first.read_text().splitlines()[1].split(",")[-1])
+    assert abs(z) < 5.0

@@ -15,8 +15,9 @@ from nigdiff.errors import (DomainError, PrecisionLossError,
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
                            conditional_phi2_mean, eppf, eppf_log, g0_batch,
                            log_v, m1_factorial_moment, m1_pmf,
-                           weights_gg_asymptotic, weights_gg_exact,
-                           weights_gg_quadrature, weights_pd)
+                           weights_gg_asymptotic, weights_gg_batch,
+                           weights_gg_exact, weights_gg_quadrature,
+                           weights_pd)
 from nigdiff.specfun import pochhammer
 from nigdiff.urn import sample_partition
 
@@ -159,9 +160,11 @@ def test_batch_matches_scalar_rows():
     n = np.array([s[0] for s in states], dtype=float)
     k = np.array([s[1] for s in states], dtype=float)
     batch = g0_batch(n, k, params)
+    g0, g1 = weights_gg_batch(n, k, params)
     for i, (nn, kk) in enumerate(states):
-        assert batch[i] == pytest.approx(
-            weights_gg_quadrature(nn, kk, params).g0, rel=1e-12)
+        scalar = weights_gg_quadrature(nn, kk, params)
+        assert batch[i] == g0[i] == pytest.approx(scalar.g0, rel=1e-12)
+        assert g1[i] == pytest.approx(scalar.g1, rel=1e-12)
     with pytest.raises(DomainError):
         g0_batch(np.array([3.0]), np.array([4.0]), params)
 

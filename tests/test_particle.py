@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from nigdiff import particle
 from nigdiff.diffusion import SimplexPoint, generator_action_power_sum
 from nigdiff.errors import DomainError, InternalConsistencyError
-from nigdiff.gibbs import GGParams, conditional_phi2_mean
+from nigdiff.gibbs import GGParams, PDParams, conditional_phi2_mean
 from nigdiff.particle import (ParticleSystem, conditioned_phi2_average,
-                              conditioned_step, moran_phi2_drift, moran_step,
-                              run_conditioned_phi2, run_moran,
-                              simulate_rescaled)
-from nigdiff.urn import PartitionState, predictive_weights
+                              conditioned_step, moran_ensemble,
+                              moran_phi2_drift, moran_step,
+                              run_conditioned_phi2, simulate_rescaled)
+from nigdiff.urn import PartitionState, predictive_weights, sample_partition
 
 
 # ---------------------------------------------------------------------------
@@ -26,8 +27,6 @@ def test_round_trip_partition_particles():
     assert sys_.K == 3
     assert sys_.phi(1) == pytest.approx(1.0)
     assert sys_.phi(2) == pytest.approx((9 + 1 + 4) / 36)
-    back = sys_.to_partition_state()
-    assert sorted(back.block_sizes) == [1, 2, 3]
     sys_.validate()
     with pytest.raises(DomainError):
         ParticleSystem([])
@@ -52,37 +51,110 @@ def test_ordered_frequencies_truncation():
     assert sys_.ordered_frequencies(top=2) == (0.5, 2 / 6)
 
 
+def _urn_slots(n, reps, params, rng):
+    """reps urn-drawn starts as an (reps, n) array of type slots."""
+    return np.array([np.repeat(np.arange(state.K), state.block_sizes)
+                     for state in (sample_partition(n, params, rng)
+                                   for _ in range(reps))])
+
+
+def _assert_ensemble_invariants(slots, counts, n):
+    assert slots.shape == counts.shape
+    assert slots.dtype == counts.dtype == np.int32
+    for row_slots, row_counts in zip(slots, counts):
+        assert (np.bincount(row_slots, minlength=n) == row_counts).all()
+    assert (counts.sum(axis=1) == n).all()
+    assert (np.count_nonzero(counts, axis=1)
+            == [np.unique(row).size for row in slots]).all()
+
+
 def test_invariants_hold_along_moran_run(rng):
     params = GGParams.from_beta(2.0)
-    sys_ = ParticleSystem.initialize(30, params, rng)
-    for _ in range(50):
-        run_moran(sys_, 20, params, rng)
-        sys_.validate()
-        assert sys_.n == 30
+    n = 30
+    singletons = np.broadcast_to(np.arange(n), (50, n))
+    for start in (_urn_slots(n, 50, params, rng), singletons):
+        slots = start
+        for _ in range(10):
+            slots, counts = moran_ensemble(slots, 100, params, rng)
+            _assert_ensemble_invariants(slots, counts, n)
     with pytest.raises(DomainError):
         moran_step(ParticleSystem([0]), params, rng)
+
+
+def test_moran_ensemble_validation(rng, monkeypatch):
+    params = GGParams.from_beta(2.0)
+    with pytest.raises(DomainError):
+        moran_ensemble(np.zeros((3, 1), dtype=int), 5, params, rng)
+    with pytest.raises(DomainError):
+        moran_ensemble(np.zeros(4, dtype=int), 5, params, rng)
+    with pytest.raises(DomainError):
+        moran_ensemble(np.array([[0, 1, 4]]), 5, params, rng)
+    with pytest.raises(DomainError):
+        moran_ensemble(np.zeros((2, 3), dtype=int), 5, object(), rng)
+    # a weight table whose entries do not sum to one is refused up front
+    monkeypatch.setattr(particle, "weights_gg_batch",
+                        lambda n, k, p: (np.full(k.shape, 0.5),
+                                         np.full(k.shape, 1.0 / n[0])))
+    with pytest.raises(InternalConsistencyError):
+        moran_ensemble(np.zeros((2, 3), dtype=int), 0, params, rng)
+
+
+@pytest.mark.parametrize("beta, sizes", [
+    (0.5, [7, 5, 3, 3, 1, 1]),
+    (2.0, [6, 2, 2, 1, 1, 1, 1, 1, 1]),
+    (10.0, [4, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+])
+def test_moran_ensemble_one_event_drift(beta, sizes):
+    # 10^6 single events from one state against the exact expectation
+    params = GGParams.from_beta(beta)
+    n = sum(sizes)
+    start = np.repeat(np.arange(len(sizes)), sizes)
+    sum_sq = sum(c * c for c in sizes)
+    rng = np.random.default_rng(np.random.SeedSequence([77, int(beta)]))
+    deltas = []
+    for _ in range(4):
+        _, counts = moran_ensemble(np.broadcast_to(start, (250_000, n)), 1,
+                                   params, rng)
+        deltas.append(np.einsum("ij,ij->i", counts, counts) - sum_sq)
+    deltas = np.concatenate(deltas)
+    mc = deltas.mean() / 2.0
+    se = deltas.std() / (2.0 * math.sqrt(deltas.size))
+    assert abs(mc - moran_phi2_drift(sizes, params)) <= 5.0 * se
 
 
 # ---------------------------------------------------------------------------
 # Stationarity of the unconditioned dynamics
 
-def test_moran_preserves_exchangeable_phi2(rng):
+def _exchangeable_phi2(n, params):
     # the n-sample urn law is stationary for the Moran dynamics; its
     # exact pair probability is P(two same) = (1 - alpha) g1(1, 1)
     # (two draws: the second joins the first with that probability),
     # hence E[phi_2] = ((n - 1) P + 1) / n
+    p_same = (1.0 - params.alpha) * predictive_weights(1, 1, params).g1
+    return ((n - 1) * p_same + 1.0) / n
+
+
+def test_moran_preserves_exchangeable_phi2(rng):
     params = GGParams.from_beta(2.0)
     n = 25
-    p_same = (1.0 - params.alpha) * predictive_weights(1, 1, params).g1
-    exact = ((n - 1) * p_same + 1.0) / n
     reps, steps = 600, 120
-    vals = np.empty(reps)
-    for r in range(reps):
-        sys_ = ParticleSystem.initialize(n, params, rng)
-        run_moran(sys_, steps, params, rng)
-        vals[r] = sys_.phi(2)
+    _, counts = moran_ensemble(_urn_slots(n, reps, params, rng), steps,
+                               params, rng)
+    vals = np.einsum("ij,ij->i", counts, counts) / (n * n)
     se = vals.std() / math.sqrt(reps)
-    assert abs(vals.mean() - exact) < 4.0 * se
+    assert abs(vals.mean() - _exchangeable_phi2(n, params)) < 4.0 * se
+
+
+def test_moran_ensemble_pd_params(rng):
+    params = PDParams(theta=1.5, alpha=0.3)
+    n = 25
+    reps, steps = 2_000, 200
+    slots, counts = moran_ensemble(_urn_slots(n, reps, params, rng), steps,
+                                   params, rng)
+    _assert_ensemble_invariants(slots, counts, n)
+    vals = np.einsum("ij,ij->i", counts, counts) / (n * n)
+    se = vals.std() / math.sqrt(reps)
+    assert abs(vals.mean() - _exchangeable_phi2(n, params)) < 4.0 * se
 
 
 # ---------------------------------------------------------------------------
