@@ -10,7 +10,8 @@ from .gibbs import (GGParams, PDParams, WeightPair, conditional_pair_probability
                     m1_factorial_moment, m1_pmf, weights_gg_asymptotic,
                     weights_gg_exact, weights_gg_quadrature, weights_pd)
 from .specfun import (alpha_diversity_density, exp_integral_ei,
-                      gen_factorial_coeff, pochhammer, stable_half_density)
+                      gen_factorial_coeff, pochhammer, stable_half_density,
+                      upper_incomplete_gamma)
 from .urn import (GemWeights, PartitionState, ordered_frequencies,
                   predictive_weights, sample_gem, sample_k_batch,
                   sample_partition, urn_step)

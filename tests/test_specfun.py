@@ -4,16 +4,20 @@ quadrature, exact rational recursions, and classical identities."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from nigdiff.errors import DomainError, UnsupportedParameterError
 from nigdiff.gibbs import GGParams
 from nigdiff.specfun import (alpha_diversity_density, exp_integral_ei,
                              gen_factorial_coeff,
-                             gen_factorial_coeff_log_table, pochhammer,
-                             stable_half_density)
+                             gen_factorial_coeff_log_table,
+                             log_upper_incomplete_gamma, pochhammer,
+                             stable_half_density, upper_incomplete_gamma)
 
 from conftest import exact_gen_factorial, set_partitions
 
@@ -26,6 +30,69 @@ def test_pochhammer_gamma_ratio():
         for m in (0, 1, 3, 8):
             assert pochhammer(a, m) == pytest.approx(
                 math.gamma(a + m) / math.gamma(a), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Upper incomplete gamma
+
+@pytest.mark.parametrize("c", [-7.5, -3.2, -2.0, -0.5, 0.0, 0.7, 1.0,
+                               2.5, 6.0])
+@pytest.mark.parametrize("x", [0.3, 1.0, 5.0, 10.0])
+def test_incomplete_gamma_vs_quadrature(c, x):
+    oracle, err = integrate.quad(
+        lambda t: t ** (c - 1.0) * math.exp(-t), x, np.inf,
+        epsabs=1e-300, epsrel=1e-12, limit=300)
+    assert upper_incomplete_gamma(c, x) == pytest.approx(oracle, rel=5e-8)
+
+
+def test_incomplete_gamma_recurrence():
+    # Gamma(c+1; x) = c Gamma(c; x) + x^c e^{-x}, checked in linear space
+    # after removing the common magnitude
+    for x in (0.5, 2.0, 10.0):
+        for c in np.arange(-40.0, 40.0, 1.7):
+            lhs = log_upper_incomplete_gamma(c + 1.0, x)
+            g = log_upper_incomplete_gamma(c, x)
+            rhs_terms = np.array([g + math.log(abs(c)) if c != 0 else -np.inf,
+                                  c * math.log(x) - x])
+            peak = max(lhs, rhs_terms.max())
+            lin_lhs = math.exp(lhs - peak)
+            lin_rhs = (math.copysign(math.exp(rhs_terms[0] - peak), c)
+                       + math.exp(rhs_terms[1] - peak))
+            assert lin_lhs == pytest.approx(lin_rhs, rel=1e-9, abs=1e-12)
+
+
+def test_incomplete_gamma_full_envelope():
+    # wide grid of (c, x) against a 40-digit oracle, including the
+    # routing boundaries (x = 0.3, |c| = 0.5, c = -4) and near-zero c
+    # where the 1/c amplification of naive routes is worst
+    mpmath.mp.dps = 40
+    cs = [-60.0, -33.7, -12.5, -4.0, -3.9, -0.51, -0.49, -1e-3, -1e-8,
+          -1e-12, 1e-12, 1e-8, 1e-3, 0.49, 0.51, 7.3, 60.0]
+    xs = [1e-3, 0.05, 0.29, 0.31, 1.0, 8.0, 50.0]
+    for c in cs:
+        for x in xs:
+            got = log_upper_incomplete_gamma(c, x)
+            ref = float(mpmath.log(mpmath.gammainc(
+                mpmath.mpf(c), mpmath.mpf(x), mpmath.inf)))
+            assert got == pytest.approx(ref, rel=1e-10, abs=1e-12), (c, x)
+
+
+def test_incomplete_gamma_domain():
+    with pytest.raises(DomainError):
+        upper_incomplete_gamma(1.0, 0.0)
+    with pytest.raises(DomainError):
+        upper_incomplete_gamma(1.0, -2.0)
+
+
+@given(st.floats(min_value=-10.0, max_value=10.0),
+       st.floats(min_value=0.1, max_value=20.0),
+       st.floats(min_value=0.01, max_value=5.0))
+@settings(max_examples=100)
+def test_incomplete_gamma_monotone_in_x(c, x, dx):
+    # the integrand is positive, so Gamma(c; x) decreases in x (the
+    # decrease can fall below double resolution deep in a flat region)
+    assert (log_upper_incomplete_gamma(c, x)
+            >= log_upper_incomplete_gamma(c, x + dx))
 
 
 def test_ei_e1_relation():
