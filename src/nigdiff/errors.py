@@ -15,9 +15,13 @@ class UnsupportedParameterError(NigdiffError, ValueError):
 
 
 class PrecisionLossError(NigdiffError, ArithmeticError):
-    """An alternating sum cancelled beyond the configured threshold.
+    """A subtraction cancelled more decimal digits than the configured
+    threshold allows.
 
-    Raised only by ``weights_gg_exact``, the 50-digit reference route;
+    Raised only by ``weights_gg_exact``, the 50-digit reference route.
+    Its sums are built from positive terms; the one cancellation left is
+    the final difference P - N of their even and odd parts, and
+    ``condition_estimate`` is the number of digits it lost.
     ``weights_gg_quadrature`` answers every state without cancellation.
     """
 

@@ -5,10 +5,15 @@ Poisson-Dirichlet random measures.
 Two routes are provided for the generalized-gamma predictive weights
 (g0, g1), plus an approximation:
 
-* ``weights_gg_exact`` — alternating sums of incomplete-gamma terms,
-  evaluated in 50-digit arithmetic.  The sums cancel as n or beta
-  grows; the routine refuses to answer once fewer than 16 significant
-  digits would survive.  It is the independent reference.
+* ``weights_gg_exact`` — the independent reference, alpha = 1/2 only.
+  V(n, k) is, up to a prefactor, an alternating sum S = P - N of
+  incomplete-gamma terms.  One 50-digit build per beta runs a two-term
+  recursion in which every term is positive, P(n+1, k) = P(n, k) +
+  beta^2 N(n, k-2) and N(n+1, k) = N(n, k) + beta^2 P(n, k-2), and
+  keeps only a float table of (g0, g1, condition).  The single
+  subtraction P - N is the one cancellation left; it grows with n and
+  beta, and the routine refuses to answer once fewer than 16
+  significant digits would survive.
 * ``weights_gg_quadrature`` — read from one vectorized log-space kernel
   that integrates the unimodal V(n, k) integrand with Newton-located
   cut-offs and Gauss-Legendre nodes, returning log V(n, k) and
@@ -52,8 +57,8 @@ class GGParams:
     ``a = 0`` is the normalized-stable boundary case, where the weights
     and partition probabilities have elementary closed forms.
     ``alpha = 1/2`` is the normalized inverse-Gaussian case, the only
-    one for which the exact alternating-sum route and the diffusion
-    limits are supported.
+    one for which the exact route and the diffusion limits are
+    supported.
     """
 
     a: float
@@ -127,107 +132,94 @@ def weights_pd(n: int, k: int, params: PDParams) -> WeightPair:
 
 
 # ---------------------------------------------------------------------------
-# Exact route: alternating incomplete-gamma sums in 50-digit arithmetic
+# Exact route: a positive two-term recursion in 50-digit arithmetic
 
-_mp_gamma_tables = {}
+_exact_tables = {}  # beta -> rows, rows[n - 1][k - 1] = (g0, g1, condition)
 
 
-def _mp_gamma_int(beta: float):
-    """Memoized table c -> Gamma(c; beta) for integer c, as 50-digit
-    fixed-precision values, built by the exact one-step recursions from
-    Gamma(0; beta) = E1(beta) and Gamma(1; beta) = e^-beta."""
+def _exact_rows(n: int, beta: float):
+    """Float rows (g0, g1, condition) for the states 1 <= k <= n' <= top,
+    top >= n, from one 50-digit build per beta; a larger n rebuilds them
+    to at least twice the old top.  No 50-digit value outlives a build.
+
+    V(n, k) at alpha = 1/2 is, up to the prefactor alpha^(k-1) e^beta /
+    Gamma(n), S(n, k) = sum_s binom(n-1, s) (-1)^s beta^(2s)
+    Gamma(k - 2s; beta).  Write it as P - N, the sums of its even-s and
+    odd-s terms; Pascal's rule gives a recursion of positive terms,
+
+        P(m+1, k) = P(m, k) + beta^2 N(m, k-2),
+        N(m+1, k) = N(m, k) + beta^2 P(m, k-2),
+
+    from P(1, k) = Gamma(k; beta) and N(1, k) = 0, with Gamma(c; beta)
+    for integer c from the exact one-step recursions out of
+    Gamma(0; beta) = E1(beta) and Gamma(1; beta) = e^-beta.  The one
+    cancellation left is P - N, whose condition is
+    log10(max(P, N)/|P - N|) (inf, with a NaN sum, when it is not > 0).
+    """
     import mpmath as mp
-    table = _mp_gamma_tables.get(beta)
-    if table is None:
-        with mp.workdps(_MP_DPS):
-            b = mp.mpf(beta)
-            table = {"beta": b, "exp": mp.exp(-b), 0: mp.e1(b),
-                     1: mp.exp(-b)}
-        _mp_gamma_tables[beta] = table
-    return table
-
-
-def _mp_gamma_lookup(table, c: int):
-    import mpmath as mp
-    if c in table:
-        return table[c]
+    rows = _exact_tables.get(beta, [])
+    if n <= len(rows):
+        return rows
+    top = max(n, 64, 2 * len(rows))
+    rows, prev = [], None
     with mp.workdps(_MP_DPS):
-        b, eb = table["beta"], table["exp"]
-        if c > 1:
-            lo = max(i for i in table if isinstance(i, int) and i <= c)
-            g = table[lo]
-            for j in range(lo, c):
-                g = j * g + b ** j * eb  # Gamma(j+1) = j Gamma(j) + b^j e^-b
-                table[j + 1] = g
-        else:
-            hi = min(i for i in table if isinstance(i, int) and i >= c)
-            g = table[hi]
-            for j in range(hi, c, -1):
-                # Gamma(j-1) = (Gamma(j) - b^(j-1) e^-b) / (j-1)
-                g = (g - b ** (j - 1) * eb) / (j - 1)
-                table[j - 1] = g
-    return table[c]
-
-
-def _gg_core_sum_mp(n: int, k: int, beta: float):
-    """sum_{s=0}^{n-1} binom(n-1, s) (-1)^s beta^{2s} Gamma(k - 2s; beta),
-    which is (up to the prefactor alpha^{k-1} e^beta / Gamma(n)) the
-    normalizing constant V(n, k) at alpha = 1/2, evaluated in 50-digit
-    arithmetic.  Returns (value, condition_estimate)."""
-    import mpmath as mp
-    table = _mp_gamma_int(beta)
-    with mp.workdps(_MP_DPS):
-        b2 = mp.mpf(beta) ** 2
-        pos = mp.mpf(0)
-        neg = mp.mpf(0)
-        power = mp.mpf(1)
-        for s in range(n):
-            term = (math.comb(n - 1, s) * power
-                    * _mp_gamma_lookup(table, k - 2 * s))
-            if s % 2 == 0:
-                pos += term
-            else:
-                neg += term
-            power *= b2
-        total = pos - neg
-        peak = max(pos, neg)
-        if total <= 0 or peak <= 0:
-            return total, float("inf")
-        condition = max(0.0, float(mp.log10(peak / abs(total))))
-    return total, condition
+        b = mp.mpf(beta)
+        eb, b2 = mp.exp(-b), b ** 2
+        up, down = [eb], [mp.e1(b)]  # Gamma(1), Gamma(2), ...; Gamma(0), ...
+        for j in range(1, top + 1):  # Gamma(j+1) = j Gamma(j) + b^j e^-b
+            up.append(j * up[-1] + b ** j * eb)
+        for j in range(0, 1 - 2 * top, -1):  # down to Gamma(1 - 2 top)
+            down.append((down[-1] - b ** (j - 1) * eb) / (j - 1))
+        pos = down[::-1] + up  # row m holds k = 1 - 2(top + 1 - m) .. top + 1
+        neg = [mp.mpf(0)] * len(pos)
+        for m in range(1, top + 2):
+            if m > 1:
+                pos, neg = ([p + b2 * q for p, q in zip(pos[2:], neg)],
+                            [q + b2 * p for q, p in zip(neg[2:], pos)])
+            first = 2 * (top + 1 - m)  # the index of k = 1
+            sums = []  # (S(m, k), its condition) for k = 1..m
+            for p, q in zip(pos[first:first + m], neg[first:first + m]):
+                total = p - q
+                if total <= 0:  # every digit cancelled
+                    total, lost = mp.nan, math.inf
+                else:
+                    lost = max(0.0, float(mp.log10(max(p, q) / total)))
+                sums.append((total, lost))
+            if prev is not None:  # the states (m - 1, k), k = 1..m-1
+                rows.append([(float(0.5 * num0 / ((m - 1) * den)),
+                              float(num1 / ((m - 1) * den)), max(c0, c1, cd))
+                             for (den, cd), (num1, c1), (num0, c0)
+                             in zip(prev, sums, sums[1:])])
+            prev = sums
+    _exact_tables[beta] = rows
+    return rows
 
 
 def weights_gg_exact(n: int, k: int, params: GGParams,
                      max_condition: float = _MP_DPS - 16) -> WeightPair:
-    """Predictive weights from the alternating-sum representation,
-    evaluated in 50-digit fixed precision (the sums cancel; the
-    condition estimate reports how many decimal digits were lost).
+    """Predictive weights g0 = S(n+1, k+1)/(2n S(n, k)) and
+    g1 = S(n+1, k)/(n S(n, k)) from the incomplete-gamma sums S of
+    ``_exact_rows``, built by a recursion of positive terms in 50-digit
+    fixed precision.  The one subtraction, S = P - N, cancels as n or
+    beta grows; the condition estimate is the most decimal digits it
+    lost in the three sums.
 
     Requires alpha = 1/2.  Raises PrecisionLossError when the estimated
     cancellation exceeds ``max_condition`` decimal digits; the default
     keeps at least 16 significant digits of the working precision.
     """
-    import mpmath as mp
     _check_nk(n, k)
     if params.alpha != 0.5:
         raise UnsupportedParameterError(
             "exact route supports alpha = 1/2 only; use the quadrature route")
     if params.a == 0.0:
         return _weights_stable(n, k, params.alpha)
-
-    alpha, beta = params.alpha, params.beta
-    num0, c0 = _gg_core_sum_mp(n + 1, k + 1, beta)  # drives g0
-    num1, c1 = _gg_core_sum_mp(n + 1, k, beta)      # drives g1
-    den, cd = _gg_core_sum_mp(n, k, beta)
-    condition = max(c0, c1, cd)
+    g0, g1, condition = _exact_rows(n, params.beta)[n - 1][k - 1]
     if condition > max_condition:
         raise PrecisionLossError(
             f"alternating sums cancelled {condition:.1f} decimal digits "
             f"(threshold {max_condition}); use the quadrature route",
             condition_estimate=condition)
-    with mp.workdps(_MP_DPS):
-        g0 = float(alpha * num0 / (n * den))
-        g1 = float(num1 / (n * den))
     return WeightPair(g0=g0, g1=g1, condition_estimate=condition)
 
 

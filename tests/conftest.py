@@ -1,5 +1,7 @@
-"""Shared test helpers: set-partition enumeration and counting, and the
-adaptive-quadrature normalizer used as the oracle for the weight kernel."""
+"""Shared test helpers: set-partition enumeration and counting, the
+adaptive-quadrature normalizer used as the oracle for the weight kernel,
+and the direct alternating sum used as the reference for the exact
+route."""
 
 import math
 from fractions import Fraction
@@ -174,6 +176,69 @@ def adaptive_log_v(n: int, k: int, params: GGParams) -> float:
             f"quadrature failed for V({n}, {k}) with params={params}: "
             f"integral={total}")
     return gmax + math.log(total) + k * math.log(a) - math.lgamma(n)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exact route's sums evaluated term by term
+
+_DIRECT_DPS = 50
+
+
+@lru_cache(maxsize=None)
+def _direct_gamma(beta: float, c: int):
+    """Gamma(c; beta) for integer c in 50-digit arithmetic, by the exact
+    one-step recursions from Gamma(0; beta) = E1(beta) downward to c <= 0
+    and from Gamma(1; beta) = e^-beta upward to c >= 1."""
+    import mpmath as mp
+    with mp.workdps(_DIRECT_DPS):
+        b = mp.mpf(beta)
+        eb = mp.exp(-b)
+        if c == 0:
+            return mp.e1(b)
+        if c == 1:
+            return eb
+        if c > 1:  # Gamma(c) = (c-1) Gamma(c-1) + b^(c-1) e^-b
+            return (c - 1) * _direct_gamma(beta, c - 1) + b ** (c - 1) * eb
+        # Gamma(c) = (Gamma(c+1) - b^c e^-b) / c
+        return (_direct_gamma(beta, c + 1) - b ** c * eb) / c
+
+
+def _direct_sum(n: int, k: int, beta: float):
+    """sum_{s=0}^{n-1} binom(n-1, s) (-1)^s beta^{2s} Gamma(k - 2s; beta)
+    in 50-digit arithmetic, summing the even-s and odd-s terms apart,
+    with its condition log10(max(P, N)/|P - N|)."""
+    import mpmath as mp
+    with mp.workdps(_DIRECT_DPS):
+        b2 = mp.mpf(beta) ** 2
+        pos = mp.mpf(0)
+        neg = mp.mpf(0)
+        power = mp.mpf(1)
+        for s in range(n):
+            term = (math.comb(n - 1, s) * power
+                    * _direct_gamma(beta, k - 2 * s))
+            if s % 2 == 0:
+                pos += term
+            else:
+                neg += term
+            power *= b2
+        total = pos - neg
+        peak = max(pos, neg)
+        if total <= 0 or peak <= 0:
+            return total, float("inf")
+        return total, max(0.0, float(mp.log10(peak / abs(total))))
+
+
+def direct_exact_weights(n: int, k: int, beta: float):
+    """(g0, g1, condition) of the alpha = 1/2 predictive weights from
+    three direct alternating sums: g0 = S(n+1, k+1)/(2n S(n, k)),
+    g1 = S(n+1, k)/(n S(n, k)), condition the largest of the three."""
+    import mpmath as mp
+    num0, c0 = _direct_sum(n + 1, k + 1, beta)
+    num1, c1 = _direct_sum(n + 1, k, beta)
+    den, cd = _direct_sum(n, k, beta)
+    with mp.workdps(_DIRECT_DPS):
+        return (float(0.5 * num0 / (n * den)), float(num1 / (n * den)),
+                max(c0, c1, cd))
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Predictive weights, partition probabilities and singleton-count law,
-cross-checked between independent routes (50-digit alternating sums,
-the Gauss-Legendre weight kernel, the adaptive-quadrature oracle,
-enumeration, urn draws)."""
+cross-checked between independent routes (the 50-digit exact route and
+its direct alternating-sum reference, the Gauss-Legendre weight kernel,
+the adaptive-quadrature oracle, enumeration, urn draws)."""
 
 import math
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nigdiff import gibbs
 from nigdiff.errors import (DomainError, PrecisionLossError,
                             UnsupportedParameterError)
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
@@ -21,7 +22,8 @@ from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
 from nigdiff.specfun import pochhammer
 from nigdiff.urn import sample_partition
 
-from conftest import adaptive_log_v, all_shapes, set_partitions, shape_count
+from conftest import (adaptive_log_v, all_shapes, direct_exact_weights,
+                      set_partitions, shape_count)
 
 BETAS = (0.5, 2.0, 10.0)
 
@@ -98,6 +100,57 @@ def test_exact_route_contracts():
     assert err.value.condition_estimate > 1.0
     with pytest.raises(DomainError):
         weights_gg_exact(5, 6, gg(1.0))
+
+
+# states of criterion-01's exact grid: both parities of n and of k, k = n
+EXACT_SAMPLE = [(n, k) for n in (1, 2, 3, 4, 9, 16, 25, 36, 49, 50)
+                for k in sorted({1, 2, 3, n // 2, n - 1, n})
+                if 1 <= k <= n]
+
+
+def _exact_triple(n, k, params, max_condition=1e9):
+    w = weights_gg_exact(n, k, params, max_condition=max_condition)
+    return w.g0, w.g1, w.condition_estimate
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_exact_matches_direct_alternating_sum(beta, monkeypatch):
+    # the positive recursion reproduces the direct sums bit for bit
+    monkeypatch.setattr(gibbs, "_exact_tables", {})
+    for n, k in EXACT_SAMPLE:
+        want = direct_exact_weights(n, k, beta)
+        assert _exact_triple(n, k, gg(beta)) == want
+
+
+def test_exact_table_does_not_depend_on_its_growth(monkeypatch):
+    # cold n = 3 first (a 64 table, then regrown to 128 by n = 100), and
+    # cold n = 100 first (a 100 table): the same bits either way
+    params, runs = gg(2.0), []
+    for order in ((3, 50, 100), (100, 50, 3)):
+        monkeypatch.setattr(gibbs, "_exact_tables", {})
+        runs.append({(n, k): _exact_triple(n, k, params) for n in order
+                     for k in sorted({1, 2, n // 2 + 1, n})})
+        assert len(gibbs._exact_tables[2.0]) == (128 if order[0] == 3
+                                                  else 100)
+    assert runs[0] == runs[1]
+    for (n, k), got in runs[0].items():
+        assert got == direct_exact_weights(n, k, 2.0)
+
+
+@pytest.mark.parametrize("max_condition", [1.0, 12.0])
+def test_exact_refuses_where_the_direct_sums_cancel(max_condition):
+    refused = 0
+    for beta in BETAS:
+        for n, k in EXACT_SAMPLE:
+            want = direct_exact_weights(n, k, beta)
+            if want[2] <= max_condition:
+                assert _exact_triple(n, k, gg(beta), max_condition) == want
+                continue
+            refused += 1
+            with pytest.raises(PrecisionLossError) as err:
+                weights_gg_exact(n, k, gg(beta), max_condition=max_condition)
+            assert err.value.condition_estimate == want[2]
+    assert refused > 0
 
 
 def test_stable_closed_form():
