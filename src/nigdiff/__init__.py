@@ -2,13 +2,14 @@
 Moran-type particle systems for generalized-gamma / normalized
 inverse-Gaussian random measures."""
 
-from .errors import (DomainError, InternalConsistencyError, NigdiffError,
-                     NumericalError, PrecisionLossError,
-                     UnsupportedParameterError)
+from .errors import (DomainError, InternalConsistencyError,
+                     KernelCompileError, NigdiffError, NumericalError,
+                     PrecisionLossError, UnsupportedParameterError)
 from .gibbs import (GGParams, PDParams, WeightPair, conditional_pair_probability,
-                    conditional_phi2_mean, eppf, eppf_log,
-                    m1_factorial_moment, m1_pmf, weights_gg_asymptotic,
-                    weights_gg_exact, weights_gg_quadrature, weights_pd)
+                    conditional_phi2_mean, eppf, eppf_log, integer_partitions,
+                    m1_factorial_moment, m1_pmf, shape_count,
+                    weights_gg_asymptotic, weights_gg_exact,
+                    weights_gg_quadrature, weights_pd)
 from .specfun import (alpha_diversity_density, exp_integral_ei,
                       gen_factorial_coeff, pochhammer, stable_half_density,
                       upper_incomplete_gamma)
@@ -22,9 +23,9 @@ from .diffusion import (ChainState, DiversityPath, FiniteDimState,
                         scale_function, sde_step, simulate_chain,
                         simulate_sde, speed_measure,
                         stationary_density_candidate)
-from .particle import (ParticleSystem, conditioned_phi2_average,
-                       conditioned_step, moran_ensemble, moran_phi2_drift,
-                       moran_step, run_conditioned_phi2, simulate_rescaled)
+from .particle import (ParticleSystem, UniformStream, balanced_sizes,
+                       conditioned_phi2_average, moran_ensemble,
+                       moran_phi2_drift, particle_run, simulate_rescaled)
 
 __version__ = "0.1.0"
 

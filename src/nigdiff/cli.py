@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__, diffusion, gibbs, particle, urn
 from .errors import NigdiffError, PrecisionLossError
-from .gibbs import (GGParams, PDParams, eppf, m1_pmf, weights_gg_asymptotic,
-                    weights_gg_exact, weights_gg_quadrature, weights_pd)
+from .gibbs import (GGParams, PDParams, eppf, integer_partitions, m1_pmf,
+                    shape_count, weights_gg_asymptotic, weights_gg_exact,
+                    weights_gg_quadrature, weights_pd)
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("weights", "eppf-check", "m1-check", "chain", "sde",
@@ -108,29 +109,6 @@ def _exp_weights(cfg, params, seed):
                          "constraint_residual"], rows)}
 
 
-def _shape_count(shape) -> int:
-    """Number of set partitions of n with the given block-size shape."""
-    n = sum(shape)
-    count = math.factorial(n)
-    mult = {}
-    for s in shape:
-        mult[s] = mult.get(s, 0) + 1
-        count //= math.factorial(s)
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
-
-
-def _integer_partitions(n, maxpart=None):
-    if n == 0:
-        yield []
-        return
-    maxpart = maxpart or n
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _integer_partitions(n - first, first):
-            yield [first] + rest
-
-
 def _exp_eppf_check(cfg, params, seed):
     n = int(cfg.get("n", 6))
     replicates = int(cfg.get("replicates", 100_000))
@@ -143,9 +121,8 @@ def _exp_eppf_check(cfg, params, seed):
         counts[shape] = counts.get(shape, 0) + 1
     rows = []
     total = 0.0
-    for shape in sorted((tuple(s) for s in _integer_partitions(n)),
-                        reverse=True):
-        prob = eppf(list(shape), params) * _shape_count(shape)
+    for shape in map(tuple, integer_partitions(n)):
+        prob = eppf(shape, params) * shape_count(shape)
         total += prob
         freq = counts.get(shape, 0) / replicates
         se = math.sqrt(max(prob * (1 - prob), 1e-12) / replicates)
@@ -256,7 +233,7 @@ def _exp_conditioned(cfg, params, seed):
     for rep, s in enumerate(s_values):
         rng = _rng(seed, rep)
         k = max(1, min(n, round(float(s) * math.sqrt(n))))
-        sizes = _balanced_sizes(n, k)
+        sizes = particle.balanced_sizes(n, k)
         avg = particle.conditioned_phi2_average(sizes, steps, params.alpha,
                                                 rng, burn_in=burn_in)
         theta = float(s) ** 2 / 4.0
@@ -266,11 +243,6 @@ def _exp_conditioned(cfg, params, seed):
     return {"conditioned": (["s", "k", "phi2_time_average",
                              "stationary_exact", "pd_oracle",
                              "relative_error_vs_pd"], rows)}
-
-
-def _balanced_sizes(n: int, k: int) -> list:
-    base, extra = divmod(n, k)
-    return [base + 1] * extra + [base] * (k - extra)
 
 
 def _exp_boundary(cfg, params, seed):

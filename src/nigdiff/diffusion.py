@@ -3,6 +3,13 @@ dS = (beta/S) dt + sqrt(S) dB, boundary analytics (scale function,
 speed measure, stationary-density candidate), the (n+1)-dimensional
 truncated Wright-Fisher-type diffusion, and generator actions on
 power-sum test functions.
+
+Chain paths come from one engine: ``simulate_chain_ensemble`` reads
+transition tables built once per call and advances R replicas with the
+compiled ``chain_run`` loop (``_kernels.c``, built by gcc on the first
+call in a process).  It reads one uniform per replica-step, drawn by
+numpy in chunks of at most 2^16 and in the order of one
+``rng.random(R)`` per step, and discards none.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from . import _kernels
 from .errors import DomainError, InternalConsistencyError, NumericalError
 from .gibbs import GGParams, weights_gg_asymptotic
 from .specfun import exp_integral_ei
@@ -183,24 +191,34 @@ def simulate_chain_ensemble(n: int, steps: int, k0: int, params: GGParams,
                             mode: str = "exact",
                             record_every: int = 1) -> np.ndarray:
     """Raw k-paths of shape (recorded_steps + 1, replicates), with all
-    replicates advanced jointly from precomputed transition tables."""
+    replicates advanced jointly from precomputed transition tables by
+    the compiled ``chain_run``.
+
+    Each replica-step reads one uniform u, in the order of
+    ``rng.random(replicates)`` per step, and both moves are decided from
+    the pre-step k: up when u < p_up[k], down when u > 1 - p_down[k]."""
     if not 1 <= k0 <= n:
         raise DomainError("k0 must be in [1, n]")
     if steps < 0 or replicates < 1 or record_every < 1:
         raise DomainError("steps >= 0, replicates >= 1, record_every >= 1")
-    p_up, p_down = _transition_tables(n, params, mode)
+    p_up, p_down = (np.ascontiguousarray(p, dtype=np.float64)
+                    for p in _transition_tables(n, params, mode))
+    if (p_up.shape != (n + 1,) or p_down.shape != (n + 1,) or p_up[n]
+            or p_down[1]):
+        raise InternalConsistencyError("transition tables leave [1, n]")
     k = np.full(replicates, k0, dtype=np.int32)
     out = np.empty((steps // record_every + 1, replicates), dtype=np.int32)
     out[0] = k
     row = 1
-    for step in range(1, steps + 1):
-        u = rng.random(replicates)
-        k += (u < p_up[k]).astype(np.int32)
-        k -= (u > 1.0 - p_down[k]).astype(np.int32)
-        if step % record_every == 0:
-            out[row] = k
-            row += 1
-    return out[:row]
+    per_chunk = max(1, _kernels.CHUNK // replicates)
+    run = _kernels.lib().chain_run
+    for first in range(0, steps, per_chunk):
+        m = min(per_chunk, steps - first)
+        u = rng.random(m * replicates)
+        row += run(replicates, m, first, record_every, u.ctypes.data,
+                   p_up.ctypes.data, p_down.ctypes.data, k.ctypes.data,
+                   out[row:].ctypes.data)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,9 @@ class NumericalError(NigdiffError, RuntimeError):
 
 class InternalConsistencyError(NigdiffError, RuntimeError):
     """An internal invariant was violated (indicates a bug upstream)."""
+
+
+class KernelCompileError(RuntimeError):
+    """gcc could not build the compiled event loops: it is missing, or
+    it failed, and the message carries its stderr.  Not a numerical
+    failure, so it is no ``NigdiffError``."""

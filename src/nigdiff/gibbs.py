@@ -34,6 +34,7 @@ space, so they need no cancellation control.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -404,6 +405,30 @@ def eppf(block_sizes, params: GGParams) -> float:
     """Probability of the given unordered block-size configuration;
     invariant under permutation of the sizes."""
     return math.exp(eppf_log(block_sizes, params))
+
+
+def integer_partitions(n: int, largest: int = None):
+    """Every block-size shape of n items: the partitions of the integer
+    n as descending lists, in reverse lexicographic order."""
+    if n == 0:
+        yield []
+        return
+    largest = largest or n
+    for first in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield [first] + rest
+
+
+def shape_count(shape) -> int:
+    """Number of set partitions of n = sum(shape) items with the given
+    block sizes: n! / (prod_j n_j! prod_r m_r!), m_r the multiplicity of
+    size r.  So P(shape) = shape_count(shape) * eppf(shape)."""
+    count = math.factorial(sum(shape))
+    for size in shape:
+        count //= math.factorial(size)
+    for mult in collections.Counter(shape).values():
+        count //= math.factorial(mult)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,20 @@ after removal) and a copy of an existing type of size n_j with
 probability g1(n-1, k_r) * (n_j - alpha).  Copy moves are realized by
 rejection: pick a uniform surviving particle of type t, accept with
 probability (n_t - alpha)/n_t, which makes every event O(1) regardless
-of the number of types.
+of the number of types.  The conditioned variant takes g0 := [the
+removed particle was a singleton], so K never changes.
 
-The dynamics run in two forms.  ``moran_ensemble`` advances R
-independent replicas in lockstep on (R, n) numpy arrays, for the many
-short runs of the generator and stationarity checks; ``moran_step``
-and the conditioned steps on a ``ParticleSystem`` are the scalar loop
-for single long trajectories (``simulate_rescaled``).
+The dynamics run on two engines, both on flat arrays of type slots and
+block counts.  ``moran_ensemble`` advances R independent replicas in
+lockstep on (R, n) numpy arrays, for the many short runs of the
+generator and stationarity checks.  ``particle_run`` is the scalar
+event loop for single long trajectories, free or conditioned
+(``simulate_rescaled``, ``conditioned_phi2_average``).  It is compiled C
+(``_kernels.c``, built by gcc on the first call in a process) and reads
+numpy uniforms from a ``UniformStream``: an event is applied only once
+all its uniforms are read, and what a chunk leaves over is carried into
+the next, so no uniform is discarded.  ``ParticleSystem`` is the
+dict-based state that the rescaled observables are read from.
 """
 
 from __future__ import annotations
@@ -24,17 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DomainError, InternalConsistencyError
 from .gibbs import GGParams, PDParams, weights_gg_batch, weights_pd
 from .urn import PartitionState, predictive_weights, sample_partition
 
 
 class ParticleSystem:
-    """n particles with integer type ids; fresh ids strictly increase so
-    new types never collide (the base measure is nonatomic).
-
-    ``sum_sq`` tracks sum of squared block sizes incrementally, so the
-    pair-probability observable phi_2 = sum (n_j/n)^2 is O(1) per event.
+    """n particles with integer type ids, their block counts and the sum
+    of squared counts ``sum_sq``, from which the rescaled observables are
+    read; every id is below ``next_fresh_id`` (the base measure is
+    nonatomic, so a new type never collides with an old one).
+    ``simulate_rescaled`` writes its events back into one, with slot
+    numbers as type ids.
     """
 
     __slots__ = ("assignments", "counts", "next_fresh_id", "sum_sq")
@@ -97,75 +106,14 @@ class ParticleSystem:
         if self.sum_sq != sum(c * c for c in recount.values()):
             raise InternalConsistencyError("sum of squares out of sync")
 
-    # -- internal mutators keeping counts/sum_sq coherent ------------------
-
-    def _remove_at(self, i: int) -> int:
-        t = self.assignments[i]
-        c = self.counts[t]
-        self.sum_sq += 1 - 2 * c
-        if c == 1:
-            del self.counts[t]
-        else:
-            self.counts[t] = c - 1
-        return t
-
-    def _assign(self, i: int, t: int) -> None:
-        self.assignments[i] = t
-        c = self.counts.get(t, 0)
-        self.counts[t] = c + 1
-        self.sum_sq += 2 * c + 1
-
-    def _fresh(self, i: int) -> None:
-        self._assign(i, self.next_fresh_id)
-        self.next_fresh_id += 1
-
-    def _copy_existing(self, i: int, alpha: float,
-                       rng: np.random.Generator) -> None:
-        """Copy a surviving type with probability proportional to
-        (n_t - alpha), by uniform-particle rejection (particle i has
-        already been removed from the counts)."""
-        n = self.n
-        assignments = self.assignments
-        counts = self.counts
-        while True:
-            j = int(rng.integers(n))
-            if j == i:
-                continue
-            t = assignments[j]
-            c = counts[t]
-            if rng.random() * c < c - alpha:
-                self._assign(i, t)
-                return
-
-
-def moran_step(sys: ParticleSystem, params, rng: np.random.Generator
-               ) -> ParticleSystem:
-    """One event: replace a uniform particle by a predictive draw from
-    the remaining n-1.  Mutates and returns ``sys``."""
-    n = sys.n
-    if n < 2:
-        raise DomainError("moran_step requires n >= 2")
-    i = int(rng.integers(n))
-    sys._remove_at(i)
-    k_r = sys.K
-    w = predictive_weights(n - 1, k_r, params)
-    total = w.g0 + w.g1 * (n - 1 - params.alpha * k_r)
-    if abs(total - 1.0) > 1e-9:
-        raise InternalConsistencyError(
-            f"replacement probabilities sum to {total!r} at n={n}, k={k_r}")
-    if rng.random() < w.g0:
-        sys._fresh(i)
-    else:
-        sys._copy_existing(i, params.alpha, rng)
-    return sys
-
 
 _TABLE_BLOCK = 64  # kernel states per weight call, to bound its temporaries
 
 
 def _g0_table(n: int, params) -> np.ndarray:
-    """g0(n-1, k) for k = 1..n-1, each entry checked as ``moran_step``
-    checks the weights of one event, before any use."""
+    """g0(n-1, k) for k = 1..n-1, each entry checked before any use:
+    the replacement probabilities g0 + g1 (n - 1 - alpha k) of a state
+    with k types left must sum to one."""
     m = n - 1
     k = np.arange(1, n)
     if isinstance(params, PDParams):
@@ -192,7 +140,7 @@ def _g0_table(n: int, params) -> np.ndarray:
 
 def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     """Run ``events`` Moran events on each of R independent replicas in
-    lockstep: per replica the law of ``events`` calls of ``moran_step``.
+    lockstep: per replica the law of a free ``particle_run``.
 
     ``slots`` is an (R, n) integer array: particle j of replica r has
     the type held in slot ``slots[r, j]``, 0 <= slot < n (a broadcast
@@ -255,45 +203,77 @@ def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     return slots, counts
 
 
-def conditioned_step(sys: ParticleSystem, params, rng: np.random.Generator
-                     ) -> ParticleSystem:
-    """The fixed-K transition: if the removed particle was a singleton
-    the replacement is a fresh type with probability one; otherwise it
-    is a copy of a surviving type with probability proportional to
-    (n_j - alpha).  The cluster count K never changes."""
-    n = sys.n
+class UniformStream:
+    """Uniforms of ``rng``, drawn ``chunk`` at a time.  ``particle_run``
+    consumes a prefix that ends at an event boundary and leaves the rest
+    here for its next call, so no uniform is discarded and a run does
+    not depend on the chunk size."""
+
+    def __init__(self, rng: np.random.Generator, chunk: int = _kernels.CHUNK):
+        if chunk < 1:
+            raise DomainError("chunk must be >= 1")
+        self.rng = rng
+        self.chunk = chunk
+        self.buffer = np.empty(0)
+
+    def extend(self) -> None:
+        """Append one chunk to what is left."""
+        self.buffer = np.concatenate((self.buffer,
+                                      self.rng.random(self.chunk)))
+
+
+def particle_run(slots, counts, events: int, alpha: float,
+                 uniforms: UniformStream, g0=None, burn_in: int = 0) -> int:
+    """Run ``events`` Moran events on one system, in place, with the
+    compiled event loop; return the sum of sum_sq = sum_t counts[t]^2
+    after each event numbered above ``burn_in``.
+
+    ``slots`` and ``counts`` are int32 arrays of length n: particle i has
+    the type in slot ``slots[i]`` and ``counts[t]`` particles have type t.
+    With a ``g0`` table over k_r = 1..n-1 (``_g0_table``) the dynamics are
+    free: the incoming particle is fresh with probability g0(n-1, k_r).
+    Without one they are conditioned: it is fresh exactly when the
+    removed particle was a singleton, so K never changes.  Otherwise it
+    copies a surviving type, by rejection on the post-removal counts as
+    in ``moran_ensemble``; a fresh type takes the freed slot, or the
+    first empty one.  Per event the uniforms are read in the order i,
+    the fresh draw (free mode only), then (j, accept) pairs.
+    """
+    n = slots.size
     if n < 2:
-        raise DomainError("conditioned_step requires n >= 2")
-    k_before = sys.K
-    i = int(rng.integers(n))
-    t = sys.assignments[i]
-    was_singleton = sys.counts[t] == 1
-    sys._remove_at(i)
-    if was_singleton:
-        sys._fresh(i)
-    else:
-        sys._copy_existing(i, params.alpha, rng)
-    if sys.K != k_before:
-        raise InternalConsistencyError("conditioned step changed K")
-    return sys
-
-
-def run_conditioned_phi2(sys: ParticleSystem, steps: int, params,
-                         rng: np.random.Generator, burn_in: int = 0
-                         ) -> float:
-    """Time average of phi_2 = sum (n_j/n)^2 along the conditioned
-    dynamics, after ``burn_in`` discarded events."""
-    if burn_in >= steps:
-        raise DomainError("burn_in must be below steps")
-    for _ in range(burn_in):
-        conditioned_step(sys, params, rng)
-    n_sq = sys.n * sys.n
-    acc = 0
-    kept = steps - burn_in
-    for _ in range(kept):
-        conditioned_step(sys, params, rng)
-        acc += sys.sum_sq
-    return acc / (kept * n_sq)
+        raise DomainError("particle_run requires n >= 2")
+    if not 0 <= burn_in < events:
+        raise DomainError("need 0 <= burn_in < events")
+    if not 0.0 <= alpha < 1.0:
+        raise DomainError("alpha must lie in [0, 1)")
+    if (events - burn_in) * n * n >= 2 ** 63:
+        raise DomainError("the sum of sum_sq would overflow 64 bits")
+    for a in (slots, counts):
+        if (a.dtype != np.int32 or a.shape != (n,)
+                or not a.flags.c_contiguous or not a.flags.writeable):
+            raise DomainError("slots and counts must be writeable, "
+                              "contiguous int32 arrays of one length")
+    if (slots.min() < 0 or slots.max() >= n
+            or not np.array_equal(np.bincount(slots, minlength=n), counts)):
+        raise DomainError("counts must count the slots, which lie in 0..n-1")
+    if g0 is not None:
+        g0 = np.ascontiguousarray(g0, dtype=np.float64)
+        if g0.shape != (n - 1,):
+            raise DomainError("g0 must hold one entry per k = 1..n-1")
+    wide = counts.astype(np.int64)
+    state = np.array([0, np.count_nonzero(counts), wide @ wide, 0],
+                     dtype=np.int64)
+    run = _kernels.lib().particle_run
+    table = None if g0 is None else g0.ctypes.data
+    while True:
+        buf = uniforms.buffer
+        used = run(n, alpha, table, events, burn_in, buf.ctypes.data,
+                   buf.size, slots.ctypes.data, counts.ctypes.data,
+                   state.ctypes.data)
+        uniforms.buffer = buf[used:]
+        if state[0] == events:
+            return int(state[3])
+        uniforms.extend()
 
 
 def moran_phi2_drift(block_sizes, params) -> float:
@@ -334,18 +314,21 @@ def moran_phi2_drift(block_sizes, params) -> float:
     return total / 2.0
 
 
+def balanced_sizes(n: int, k: int) -> list:
+    """k block sizes summing to n that differ by at most one, largest
+    first."""
+    if not 1 <= k <= n:
+        raise DomainError("need 1 <= k <= n")
+    base, extra = divmod(n, k)
+    return [base + 1] * extra + [base] * (k - extra)
+
+
 def conditioned_phi2_average(block_sizes, steps: int, alpha: float,
                              rng: np.random.Generator, burn_in: int = 0
                              ) -> float:
-    """Fast time average of phi_2 along the conditioned (fixed-K)
-    dynamics, starting from the given block sizes.
-
-    Same law as repeated ``conditioned_step``, specialized to the size
-    vector: removing a singleton and inserting a fresh singleton leaves
-    the sizes unchanged, so those events are no-ops for phi_2.  Uniforms
-    are pre-drawn in chunks and the loop works on flat lists, which is
-    several times faster than the ParticleSystem route.
-    """
+    """Time average of phi_2 = sum (n_j/n)^2 along the conditioned
+    (fixed-K) dynamics from the given block sizes, over the events
+    numbered above ``burn_in``: one conditioned ``particle_run``."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     if burn_in < 0 or burn_in >= steps:
@@ -356,45 +339,10 @@ def conditioned_phi2_average(block_sizes, steps: int, alpha: float,
     n = sum(sizes)
     if n < 2:
         raise DomainError("need at least two particles")
-    assign = []
-    for b, s in enumerate(sizes):
-        assign.extend([b] * s)
-    cnt = sizes[:]
-    ssq = sum(c * c for c in cnt)
-    total = 0
-    chunk = 1 << 15
-    refill = chunk - 2
-    buf = rng.random(chunk).tolist()
-    ptr = 0
-    for step in range(steps):
-        if ptr >= refill:
-            buf = rng.random(chunk).tolist()
-            ptr = 0
-        i = int(buf[ptr] * n)
-        ptr += 1
-        b = assign[i]
-        cb = cnt[b]
-        if cb > 1:
-            cnt[b] = cb - 1
-            ssq += 1 - 2 * cb
-            while True:
-                if ptr >= refill:
-                    buf = rng.random(chunk).tolist()
-                    ptr = 0
-                j = int(buf[ptr] * n)
-                u = buf[ptr + 1]
-                ptr += 2
-                if j == i:
-                    continue
-                t = assign[j]
-                ct = cnt[t]
-                if u * ct < ct - alpha:
-                    assign[i] = t
-                    cnt[t] = ct + 1
-                    ssq += 2 * ct + 1
-                    break
-        if step >= burn_in:
-            total += ssq
+    slots = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    counts = np.bincount(slots, minlength=n).astype(np.int32)
+    total = particle_run(slots, counts, steps, alpha, UniformStream(rng),
+                         burn_in=burn_in)
     return total / ((steps - burn_in) * n * n)
 
 
@@ -438,25 +386,31 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
         raise DomainError(f"unknown embedding {embedding!r}")
 
     k_set, f_set = set(k_idx), set(f_idx)
-    events = sorted(k_set | f_set)
     k_snap = {}
     f_snap = {}
     phi_snap = {}
     current = 0
     sqrt_n = math.sqrt(n)
-
-    def snapshot(idx):
+    ids = {t: slot for slot, t in enumerate(sys0.counts)}
+    slots = np.array([ids[t] for t in sys0.assignments], dtype=np.int32)
+    counts = np.bincount(slots, minlength=n).astype(np.int32)
+    g0 = _g0_table(n, params)
+    uniforms = UniformStream(rng)
+    for idx in sorted(k_set | f_set):
+        if idx > current:
+            particle_run(slots, counts, idx - current, params.alpha,
+                         uniforms, g0=g0)
+            current = idx
+            # slot t holds type t from here on
+            sys0.assignments = slots.tolist()
+            sys0.counts = {t: c for t, c in enumerate(counts.tolist()) if c}
+            sys0.sum_sq = sum(c * c for c in sys0.counts.values())
+            sys0.next_fresh_id = max(sys0.next_fresh_id, n)
         if idx in k_set:
             k_snap[idx] = sys0.K / sqrt_n
         if idx in f_set:
             f_snap[idx] = sys0.ordered_frequencies(top)
             phi_snap[idx] = sys0.phi(2)
-
-    for idx in events:
-        while current < idx:
-            moran_step(sys0, params, rng)
-            current += 1
-        snapshot(idx)
     return RescaledPath(
         grid=grid,
         k_rescaled=tuple(k_snap[i] for i in k_idx),

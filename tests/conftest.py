@@ -1,7 +1,7 @@
-"""Shared test helpers: set-partition enumeration and counting, the
+"""Shared test helpers: set-partition enumeration, the
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
-and the direct alternating sum used as the reference for the exact
-route."""
+the direct alternating sum used as the reference for the exact route,
+and pure-Python references for the two compiled event loops."""
 
 import math
 from fractions import Fraction
@@ -25,29 +25,6 @@ def set_partitions(items):
         for i in range(len(p)):
             yield p[:i] + [p[i] + [first]] + p[i + 1:]
         yield [[first]] + p
-
-
-def shape_count(shape):
-    """Number of set partitions of [n] with the given block-size multiset:
-    n! / (prod_j n_j! * prod_r m_r!)."""
-    n = sum(shape)
-    count = math.factorial(n)
-    for s in shape:
-        count //= math.factorial(s)
-    mult = {}
-    for s in shape:
-        mult[s] = mult.get(s, 0) + 1
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
-
-
-def all_shapes(n):
-    """All partitions of the integer n, sorted descending."""
-    shapes = set()
-    for p in set_partitions(list(range(n))):
-        shapes.add(tuple(sorted((len(b) for b in p), reverse=True)))
-    return sorted(shapes)
 
 
 def exact_gen_factorial(n, k, alpha: Fraction):
@@ -239,6 +216,75 @@ def direct_exact_weights(n: int, k: int, beta: float):
     with mp.workdps(_DIRECT_DPS):
         return (float(0.5 * num0 / (n * den)), float(num1 / (n * den)),
                 max(c0, c1, cd))
+
+
+# ---------------------------------------------------------------------------
+# References for the compiled event loops
+
+def numpy_chain_ensemble(p_up, p_down, steps, k0, replicates, rng,
+                         record_every=1):
+    """The block-count chain as a per-step numpy loop over the replicas,
+    one ``rng.random(replicates)`` per step: up when u < p_up[k], then
+    down when u > 1 - p_down[k] at the updated k."""
+    k = np.full(replicates, k0, dtype=np.int32)
+    out = np.empty((steps // record_every + 1, replicates), dtype=np.int32)
+    out[0] = k
+    row = 1
+    for step in range(1, steps + 1):
+        u = rng.random(replicates)
+        k += (u < p_up[k]).astype(np.int32)
+        k -= (u > 1.0 - p_down[k]).astype(np.int32)
+        if step % record_every == 0:
+            out[row] = k
+            row += 1
+    return out[:row]
+
+
+def python_particle_run(slots, counts, events, alpha, uniforms, g0=None,
+                        burn_in=0):
+    """The scalar Moran event loop on Python lists, reading one unbroken
+    sequence of uniforms: per event i, then the fresh draw (when a g0
+    table is given), then (j, accept) pairs.  Returns (slots, counts,
+    sum of sum_sq after the events numbered above burn_in, uniforms
+    read)."""
+    slots, counts = [int(v) for v in slots], [int(v) for v in counts]
+    n = len(slots)
+    k = sum(1 for c in counts if c)
+    ssq = sum(c * c for c in counts)
+    total = 0
+    pos = 0
+    for event in range(1, events + 1):
+        i = int(uniforms[pos] * n)
+        pos += 1
+        removed = slots[i]
+        singleton = counts[removed] == 1
+        counts[removed] -= 1
+        ssq -= 2 * counts[removed] + 1
+        k -= singleton
+        if g0 is None:
+            fresh = singleton
+        else:
+            fresh = uniforms[pos] < g0[k - 1]
+            pos += 1
+        if fresh:
+            target = removed if singleton else counts.index(0)
+        else:
+            while True:
+                j, a = int(uniforms[pos] * n), uniforms[pos + 1]
+                pos += 2
+                if j == i:
+                    continue
+                target = slots[j]
+                ct = counts[target]
+                if a * ct < ct - alpha:
+                    break
+        slots[i] = target
+        ssq += 2 * counts[target] + 1
+        k += counts[target] == 0
+        counts[target] += 1
+        if event > burn_in:
+            total += ssq
+    return slots, counts, total, pos
 
 
 @pytest.fixture

@@ -18,14 +18,13 @@ from nigdiff.diffusion import (ChainState, SimplexPoint,
                                generator_action_power_sum, scale_function,
                                simulate_chain_ensemble, speed_measure,
                                stationary_tail_partial_integral)
-from nigdiff.gibbs import (GGParams, conditional_phi2_mean, eppf, log_v,
-                           m1_pmf, weights_gg_exact, weights_gg_quadrature)
-from nigdiff.particle import (ParticleSystem, conditioned_phi2_average,
-                              moran_ensemble)
+from nigdiff.gibbs import (GGParams, conditional_phi2_mean, eppf,
+                           integer_partitions, log_v, m1_pmf, shape_count,
+                           weights_gg_exact, weights_gg_quadrature)
+from nigdiff.particle import (ParticleSystem, balanced_sizes,
+                              conditioned_phi2_average, moran_ensemble)
 from nigdiff.specfun import alpha_diversity_density
 from nigdiff.urn import sample_k_batch, sample_partition
-
-from conftest import all_shapes, shape_count
 
 BETAS = (0.5, 2.0, 10.0)
 NIG = GGParams(a=1.0, tau=1.0)  # beta = 2
@@ -41,11 +40,6 @@ def report(capfd):
             print(f"criterion-{num:02d} {name}: {status} "
                   f"({detail}; {elapsed:.1f}s)", file=sys.stderr, flush=True)
     return _line
-
-
-def _balanced(n, k):
-    base, extra = divmod(n, k)
-    return [base + 1] * extra + [base] * (k - extra)
 
 
 def test_criterion_01_predictive_constraint(report):
@@ -83,12 +77,12 @@ def test_criterion_02_eppf_normalization_and_addition(report):
         params = GGParams.from_beta(beta)
         for n in range(1, 9):
             total = sum(shape_count(shape) * eppf(list(shape), params)
-                        for shape in all_shapes(n))
+                        for shape in integer_partitions(n))
             worst_norm = max(worst_norm, abs(total - 1.0))
     params = GGParams.from_beta(2.0)
     worst_add = 0.0
     for n in range(1, 7):
-        for shape in all_shapes(n):
+        for shape in integer_partitions(n):
             sizes = list(shape)
             rhs = eppf(sizes + [1], params)
             for j in range(len(sizes)):
@@ -331,7 +325,7 @@ def test_criterion_12_generator_matches_semigroup_derivative(report):
     params = NIG
     n = 300
     k = math.ceil(2.0 * math.sqrt(n))
-    sizes = _balanced(n, k)
+    sizes = balanced_sizes(n, k)
     base = []
     for b, size in enumerate(sizes):
         base.extend([b] * size)
@@ -379,7 +373,7 @@ def test_criterion_13_conditioned_moment_vs_two_parameter_oracle(report):
     for idx, s in enumerate((1.0, 2.0, 3.0)):
         k = int(round(s * math.sqrt(n)))
         rng = np.random.default_rng(np.random.SeedSequence([13, idx]))
-        avg = conditioned_phi2_average(_balanced(n, k), 30_000_000, alpha,
+        avg = conditioned_phi2_average(balanced_sizes(n, k), 30_000_000, alpha,
                                        rng, burn_in=2_000_000)
         theta = s * s / 4.0
         # stick-breaking oracle for the two-parameter family (theta, 1/2)

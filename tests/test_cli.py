@@ -118,6 +118,20 @@ def test_m1_check_small_n_reports_small_tv(tmp_path):
     assert tv < 0.02
 
 
+def test_eppf_check_covers_every_shape(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "replicates": 20000}))
+    assert main(["eppf-check", "--seed", "4", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "o" / "eppf.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["5", "4|1", "3|2", "3|1|1", "2|2|1",
+                                    "2|1|1|1", "1|1|1|1|1", "TOTAL"]
+    assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-9)
+    assert sum(float(r[2]) for r in rows[:-1]) == pytest.approx(1.0)
+    assert all(abs(float(r[3])) < 4.5 for r in rows[:-1])
+
+
 @pytest.mark.parametrize("cfg", [
     {"params": {"theta": 1.0}, "n": 20, "paths": 20},   # no beta to use
     {"n": 1, "paths": 20},                              # no particle pair

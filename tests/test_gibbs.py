@@ -15,15 +15,15 @@ from nigdiff.errors import (DomainError, PrecisionLossError,
                             UnsupportedParameterError)
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
                            conditional_phi2_mean, eppf, eppf_log, g0_batch,
-                           log_v, m1_factorial_moment, m1_pmf,
-                           weights_gg_asymptotic, weights_gg_batch,
+                           integer_partitions, log_v, m1_factorial_moment,
+                           m1_pmf, shape_count, weights_gg_asymptotic,
+                           weights_gg_batch,
                            weights_gg_exact, weights_gg_quadrature,
                            weights_pd)
 from nigdiff.specfun import pochhammer
 from nigdiff.urn import sample_partition
 
-from conftest import (adaptive_log_v, all_shapes, direct_exact_weights,
-                      set_partitions, shape_count)
+from conftest import adaptive_log_v, direct_exact_weights, set_partitions
 
 BETAS = (0.5, 2.0, 10.0)
 
@@ -264,12 +264,23 @@ def test_eppf_exchangeable():
         eppf([1, 2, 3], params), rel=1e-14)
 
 
+def test_shapes_and_counts_match_set_partitions():
+    for n in range(1, 8):
+        counted = {}
+        for p in set_partitions(list(range(n))):
+            shape = tuple(sorted((len(b) for b in p), reverse=True))
+            counted[shape] = counted.get(shape, 0) + 1
+        shapes = [tuple(s) for s in integer_partitions(n)]
+        assert shapes == sorted(counted, reverse=True)
+        assert all(shape_count(s) == counted[s] for s in shapes)
+
+
 @pytest.mark.parametrize("beta", BETAS)
 def test_eppf_normalizes_by_enumeration(beta):
     params = gg(beta)
     for n in (3, 5, 7):
         total = sum(shape_count(shape) * eppf(list(shape), params)
-                    for shape in all_shapes(n))
+                    for shape in integer_partitions(n))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -277,7 +288,7 @@ def test_eppf_addition_rule():
     # p(n_1..n_k) = sum_j p(.., n_j + 1, ..) + p(n_1..n_k, 1)
     params = gg(2.0)
     for n in (2, 4, 6):
-        for shape in all_shapes(n):
+        for shape in integer_partitions(n):
             sizes = list(shape)
             rhs = eppf(sizes + [1], params)
             for j in range(len(sizes)):
@@ -319,7 +330,7 @@ def test_m1_pmf_matches_enumeration():
     params = gg(2.0)
     for n in (4, 6, 8):
         law = {}
-        for shape in all_shapes(n):
+        for shape in integer_partitions(n):
             m1 = sum(1 for s in shape if s == 1)
             law[m1] = law.get(m1, 0.0) + shape_count(shape) * eppf(
                 list(shape), params)

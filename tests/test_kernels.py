@@ -1,0 +1,170 @@
+"""The compiled event loops against their pure-Python references in
+conftest.py: the block-count chain bit for bit against the per-step
+numpy loop, the Moran loop bit for bit against its mirror in both modes
+and at every chunk size, the chain's law where the numpy loop's is
+wrong, the refusals, and the lazy gcc build."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import nigdiff
+from nigdiff import _kernels, diffusion, particle
+from nigdiff.diffusion import _transition_tables, simulate_chain_ensemble
+from nigdiff.errors import DomainError, KernelCompileError
+from nigdiff.gibbs import GGParams, PDParams
+from nigdiff.particle import UniformStream, particle_run
+
+from conftest import numpy_chain_ensemble, python_particle_run
+
+N_CHAIN = 40
+
+
+@pytest.mark.parametrize("beta", [0.0, 2.0, 1000.0])
+@pytest.mark.parametrize("replicates", [1, 7, 20])
+@pytest.mark.parametrize("k0", [1, N_CHAIN])
+def test_chain_matches_numpy_loop(beta, replicates, k0):
+    params = GGParams.from_beta(beta)
+    p_up, p_down = _transition_tables(N_CHAIN, params, "exact")
+    assert (p_up[1:-1] + p_down[2:]).max() <= 1.0
+    for record_every in (1, 3, 250):
+        for seed in range(5):
+            rng_a = np.random.default_rng([seed, record_every])
+            rng_b = np.random.default_rng([seed, record_every])
+            got = simulate_chain_ensemble(N_CHAIN, 3_000, k0, params,
+                                          replicates, rng_a,
+                                          record_every=record_every)
+            want = numpy_chain_ensemble(p_up, p_down, 3_000, k0, replicates,
+                                        rng_b, record_every)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert rng_a.random() == rng_b.random()
+
+
+def test_chain_spans_several_chunks():
+    # 2^16 // 7 steps per chunk: the recorded rows line up across chunks
+    params = GGParams.from_beta(100.0)
+    p_up, p_down = _transition_tables(N_CHAIN, params, "exact")
+    got = simulate_chain_ensemble(N_CHAIN, 30_001, 1, params, 7,
+                                  np.random.default_rng(1), record_every=97)
+    want = numpy_chain_ensemble(p_up, p_down, 30_001, 1, 7,
+                                np.random.default_rng(1), 97)
+    assert np.array_equal(got, want)
+
+
+def test_chain_law_where_moves_could_overlap(monkeypatch):
+    # p_up[2] + p_down[3] > 1: the numpy loop's second test, taken at the
+    # updated k, would undo some up-moves; the kernel decides both moves
+    # from the pre-step k, so every k moves with its own probabilities
+    p_up = np.array([0.0, 0.5, 0.7, 0.3, 0.0])
+    p_down = np.array([0.0, 0.0, 0.2, 0.6, 0.5])
+    monkeypatch.setattr(diffusion, "_transition_tables",
+                        lambda n, params, mode: (p_up, p_down))
+    out = simulate_chain_ensemble(4, 50_000, 2, GGParams.from_beta(2.0), 20,
+                                  np.random.default_rng(8))
+    before, step = out[:-1].ravel(), np.diff(out, axis=0).ravel()
+    for k in range(1, 5):
+        at = before == k
+        visits = at.sum()
+        for moved, p in ((1, p_up[k]), (-1, p_down[k])):
+            freq = (step[at] == moved).mean()
+            se = np.sqrt(max(p * (1 - p), 1e-12) / visits)
+            assert abs(freq - p) < 5.0 * se
+
+
+def _start(sizes, n):
+    slots = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    return slots, np.bincount(slots, minlength=n).astype(np.int32)
+
+
+@pytest.mark.parametrize("params", [GGParams.from_beta(0.5),
+                                    GGParams.from_beta(10.0),
+                                    PDParams(theta=1.5, alpha=0.3)])
+@pytest.mark.parametrize("free", [True, False])
+def test_particle_run_matches_python_mirror(params, free):
+    n = 30
+    sizes = [9, 6, 4, 3, 2, 1, 1, 1, 1, 1, 1]
+    g0 = particle._g0_table(n, params) if free else None
+    for seed in range(3):
+        uniforms = np.random.default_rng(seed).random(100_000).tolist()
+        want = python_particle_run(*_start(sizes, n), 6_000, params.alpha,
+                                   uniforms, g0=g0, burn_in=500)[:3]
+        for chunk in (7, 64, 1 << 16):
+            slots, counts = _start(sizes, n)
+            total = particle_run(slots, counts, 6_000, params.alpha,
+                                 UniformStream(np.random.default_rng(seed),
+                                               chunk),
+                                 g0=g0, burn_in=500)
+            assert (slots.tolist(), counts.tolist(), total) == want
+
+
+def test_uniform_stream_carries_the_tail_across_calls():
+    # two runs of 1,000 events read exactly the uniforms of one of 2,000
+    params = GGParams.from_beta(2.0)
+    n, sizes = 20, [8, 5, 3, 2, 1, 1]
+    g0 = particle._g0_table(n, params)
+    uniforms = np.random.default_rng(4).random(50_000).tolist()
+    slots, counts, _, used = python_particle_run(
+        *_start(sizes, n), 2_000, params.alpha, uniforms, g0=g0)
+    stream = UniformStream(np.random.default_rng(4), 64)
+    got = _start(sizes, n)
+    for _ in range(2):
+        particle_run(*got, 1_000, params.alpha, stream, g0=g0)
+    assert got[0].tolist() == slots and got[1].tolist() == counts
+    drawn = 64 * -(-used // 64)
+    assert stream.buffer.tolist() == uniforms[used:drawn]
+
+
+def test_particle_run_refusals():
+    stream = UniformStream(np.random.default_rng(0))
+    slots, counts = _start([3, 1], 4)
+    with pytest.raises(DomainError):  # one particle
+        particle_run(slots[:1], np.ones(1, np.int32), 5, 0.5, stream,
+                     g0=np.empty(0))
+    for burn_in in (-1, 5, 6):
+        with pytest.raises(DomainError):
+            particle_run(slots, counts, 5, 0.5, stream, burn_in=burn_in)
+    with pytest.raises(DomainError):
+        particle_run(slots, counts, 5, 1.0, stream)
+    with pytest.raises(DomainError):
+        particle_run(slots.astype(np.int64), counts, 5, 0.5, stream)
+    with pytest.raises(DomainError):
+        particle_run(slots, counts[::-1], 5, 0.5, stream)
+    with pytest.raises(DomainError):
+        particle_run(slots + 4, counts, 5, 0.5, stream)
+    with pytest.raises(DomainError):
+        particle_run(slots, counts, 5, 0.5, stream, g0=np.full(4, 0.1))
+    with pytest.raises(DomainError):
+        UniformStream(np.random.default_rng(0), 0)
+    assert (slots.tolist(), counts.tolist()) == ([0, 0, 0, 1], [3, 1, 0, 0])
+
+
+def test_missing_compiler_is_a_clear_error(monkeypatch):
+    monkeypatch.setattr(_kernels, "_COMMAND", ("no-such-compiler-nigdiff",))
+    with pytest.raises(KernelCompileError, match="no-such-compiler-nigdiff"):
+        _kernels.lib.__wrapped__()
+    monkeypatch.setattr(_kernels, "_COMMAND", ("gcc", "-no-such-flag"))
+    with pytest.raises(KernelCompileError, match="-no-such-flag"):
+        _kernels.lib.__wrapped__()
+
+
+def test_fresh_process_builds_without_leaving_files(tmp_path):
+    package = os.path.dirname(nigdiff.__file__)
+    before = sorted(os.listdir(package))
+    script = ("import numpy as np, nigdiff, sys\n"
+              "from nigdiff import _kernels\n"
+              "assert _kernels.lib.cache_info().currsize == 0\n"
+              "print(nigdiff.conditioned_phi2_average([5, 3, 1], 2_000, 0.5,"
+              " np.random.default_rng(0), burn_in=100))\n")
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+           "PYTHONPATH": os.path.dirname(package), "TMPDIR": str(tmp_path),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 < float(proc.stdout) < 1.0
+    assert sorted(os.listdir(package)) == before
+    assert os.listdir(tmp_path) == []

@@ -10,11 +10,13 @@ from nigdiff import particle
 from nigdiff.diffusion import SimplexPoint, generator_action_power_sum
 from nigdiff.errors import DomainError, InternalConsistencyError
 from nigdiff.gibbs import GGParams, PDParams, conditional_phi2_mean
-from nigdiff.particle import (ParticleSystem, conditioned_phi2_average,
-                              conditioned_step, moran_ensemble,
-                              moran_phi2_drift, moran_step,
-                              run_conditioned_phi2, simulate_rescaled)
+from nigdiff.particle import (ParticleSystem, UniformStream,
+                              conditioned_phi2_average, moran_ensemble,
+                              moran_phi2_drift, particle_run,
+                              simulate_rescaled)
 from nigdiff.urn import PartitionState, predictive_weights, sample_partition
+
+from conftest import python_particle_run
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,14 @@ def _urn_slots(n, reps, params, rng):
                                    for _ in range(reps))])
 
 
+def _slot_arrays(sizes, n=None):
+    """Flat int32 (slots, counts) of blocks of the given sizes, block b in
+    slot b, padded to n slots."""
+    slots = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    return slots, np.bincount(slots, minlength=n or slots.size).astype(
+        np.int32)
+
+
 def _assert_ensemble_invariants(slots, counts, n):
     assert slots.shape == counts.shape
     assert slots.dtype == counts.dtype == np.int32
@@ -78,7 +88,8 @@ def test_invariants_hold_along_moran_run(rng):
             slots, counts = moran_ensemble(slots, 100, params, rng)
             _assert_ensemble_invariants(slots, counts, n)
     with pytest.raises(DomainError):
-        moran_step(ParticleSystem([0]), params, rng)
+        particle_run(np.zeros(1, np.int32), np.ones(1, np.int32), 1,
+                     params.alpha, UniformStream(rng), g0=np.empty(0))
 
 
 def test_moran_ensemble_validation(rng, monkeypatch):
@@ -145,6 +156,28 @@ def test_moran_preserves_exchangeable_phi2(rng):
     assert abs(vals.mean() - _exchangeable_phi2(n, params)) < 4.0 * se
 
 
+@pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
+                                    PDParams(theta=1.5, alpha=0.3)])
+def test_free_kernel_keeps_exchangeable_phi2_over_seeds(params):
+    # one long free particle_run per seed from an urn start: its time
+    # average of phi_2 is the exchangeable mean
+    n, events = 25, 2_000_000
+    g0 = particle._g0_table(n, params)
+    rel = []
+    for seed in range(6):
+        rng = np.random.default_rng([31, seed])
+        slots, counts = _slot_arrays(sample_partition(n, params,
+                                                      rng).block_sizes, n)
+        total = particle_run(slots, counts, events, params.alpha,
+                             UniformStream(rng), g0=g0)
+        rel.append(total / (events * n * n) / _exchangeable_phi2(n, params)
+                   - 1.0)
+    rel = np.array(rel)
+    assert np.abs(rel).max() < 0.03
+    t = rel.mean() / (rel.std(ddof=1) / math.sqrt(rel.size))
+    assert abs(t) < 4.03  # two-sided 1% point of t with 5 df
+
+
 def test_moran_ensemble_pd_params(rng):
     params = PDParams(theta=1.5, alpha=0.3)
     n = 25
@@ -162,12 +195,13 @@ def test_moran_ensemble_pd_params(rng):
 
 def test_conditioned_step_preserves_k(rng):
     params = GGParams.from_beta(1.0)
-    sys_ = ParticleSystem.initialize(40, params, rng)
-    k0 = sys_.K
+    state = sample_partition(40, params, rng)
+    slots, counts = _slot_arrays(state.block_sizes)
+    uniforms = UniformStream(rng)
     for _ in range(300):
-        conditioned_step(sys_, params, rng)
-    assert sys_.K == k0
-    sys_.validate()
+        particle_run(slots, counts, 1, params.alpha, uniforms)
+        assert np.count_nonzero(counts) == state.K
+    assert (np.bincount(slots, minlength=40) == counts).all()
 
 
 def test_conditioned_long_run_matches_exact_conditional_mean(rng):
@@ -182,19 +216,39 @@ def test_conditioned_long_run_matches_exact_conditional_mean(rng):
     assert avg == pytest.approx(exact, rel=0.02)
 
 
-def test_fast_and_slow_conditioned_routes_agree(rng):
+def test_fast_and_slow_conditioned_routes_agree():
+    # the compiled conditioned loop against its pure-Python mirror, both
+    # reading the same uniforms
     params = GGParams.from_beta(2.0)
     n, k = 30, 5
     sizes = [n - k + 1] + [1] * (k - 1)
     steps, burn = 400_000, 40_000
-    slow = run_conditioned_phi2(
-        ParticleSystem.from_partition(PartitionState(block_sizes=sizes[:])),
-        steps, params, rng, burn_in=burn)
-    fast = conditioned_phi2_average(sizes, steps, params.alpha, rng,
-                                    burn_in=burn)
+    fast = conditioned_phi2_average(sizes, steps, params.alpha,
+                                    np.random.default_rng(5), burn_in=burn)
+    uniforms = np.random.default_rng(5).random(4 * steps).tolist()
+    _, counts, total, _ = python_particle_run(
+        *_slot_arrays(sizes), steps, params.alpha, uniforms, burn_in=burn)
+    slow = total / ((steps - burn) * n * n)
+    assert fast == slow
     exact = conditional_phi2_mean(n, k, params.alpha)
     assert slow == pytest.approx(exact, rel=0.05)
     assert fast == pytest.approx(exact, rel=0.05)
+
+
+@pytest.mark.parametrize("n, k", [(60, 8), (30, 5)])
+def test_conditioned_kernel_law_over_seeds(n, k):
+    # the time average over six seeds against the exact mean of phi_2
+    # under the partition law conditioned on K_n = k
+    alpha = 0.5
+    exact = conditional_phi2_mean(n, k, alpha)
+    rel = np.array([
+        conditioned_phi2_average([n - k + 1] + [1] * (k - 1), 2_000_000,
+                                 alpha, np.random.default_rng(seed),
+                                 burn_in=100_000) / exact - 1.0
+        for seed in range(6)])
+    assert np.abs(rel).max() < 0.02
+    t = rel.mean() / (rel.std(ddof=1) / math.sqrt(rel.size))
+    assert abs(t) < 4.03  # two-sided 1% point of t with 5 df
 
 
 def test_conditioned_phi2_average_validation(rng):
@@ -206,9 +260,9 @@ def test_conditioned_phi2_average_validation(rng):
         conditioned_phi2_average([0, 2], 100, 0.5, rng)
     with pytest.raises(DomainError):
         conditioned_phi2_average([1], 100, 0.5, rng)
+    slots, counts = _slot_arrays([2])
     with pytest.raises(DomainError):
-        run_conditioned_phi2(ParticleSystem([0, 0]), 10,
-                             GGParams.from_beta(1.0), rng, burn_in=10)
+        particle_run(slots, counts, 10, 0.5, UniformStream(rng), burn_in=10)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +274,14 @@ def test_moran_phi2_drift_matches_single_event_mc(rng):
     n = sum(sizes)
     exact = moran_phi2_drift(sizes, params)
     reps = 60_000
-    state = PartitionState(block_sizes=sizes[:])
+    start_slots, start_counts = _slot_arrays(sizes)
+    sum_sq = sum(c * c for c in sizes)
+    g0 = particle._g0_table(n, params)
+    uniforms = UniformStream(rng)
     deltas = np.empty(reps)
     for r in range(reps):
-        sys_ = ParticleSystem.from_partition(state)
-        before = sys_.sum_sq
-        moran_step(sys_, params, rng)
-        deltas[r] = sys_.sum_sq - before
+        deltas[r] = particle_run(start_slots.copy(), start_counts.copy(), 1,
+                                 params.alpha, uniforms, g0=g0) - sum_sq
     mc = deltas.mean() / 2.0
     se = deltas.std() / (2.0 * math.sqrt(reps))
     assert abs(exact - mc) < 4.0 * se
@@ -266,6 +321,7 @@ def test_moran_phi2_drift_validation():
 def test_simulate_rescaled_grids_and_shapes(rng):
     params = GGParams.from_beta(2.0)
     sys_ = ParticleSystem.initialize(30, params, rng)
+    k0 = sys_.K
     grid = (0.0, 0.05, 0.1)
     path = simulate_rescaled(sys_, grid, params, rng, top=5)
     assert path.grid == grid
@@ -273,8 +329,29 @@ def test_simulate_rescaled_grids_and_shapes(rng):
     assert len(path.frequencies) == 3
     assert len(path.phi2) == 3
     assert all(len(f) <= 5 for f in path.frequencies)
-    assert path.k_rescaled[0] == pytest.approx(sys_.K / math.sqrt(30), abs=1.0)
+    assert path.k_rescaled[0] == k0 / math.sqrt(30)
     assert all(0.0 < p <= 1.0 for p in path.phi2)
+    # sys_ is left in the state of the last (slow-clock) snapshot
+    sys_.validate()
+    assert path.frequencies[-1] == sys_.ordered_frequencies(5)
+    assert path.phi2[-1] == sys_.phi(2)
+
+
+def test_simulate_rescaled_is_one_unbroken_run():
+    # the snapshots split the event stream without discarding a uniform:
+    # the final state is that of one particle_run over all the events
+    params = GGParams.from_beta(2.0)
+    n, sizes = 40, [12, 9, 5, 5, 3, 2, 1, 1, 1, 1]
+    sys_ = ParticleSystem.from_partition(PartitionState(block_sizes=sizes))
+    grid = [0.0, 0.01, 0.02, 0.05, 0.3]
+    simulate_rescaled(sys_, grid, params, np.random.default_rng(3))
+    slots, counts = _slot_arrays(sizes)
+    particle_run(slots, counts, int(0.3 * n * n / 2.0), params.alpha,
+                 UniformStream(np.random.default_rng(3)),
+                 g0=particle._g0_table(n, params))
+    assert sys_.assignments == slots.tolist()
+    assert sys_.counts == {t: c for t, c in enumerate(counts.tolist()) if c}
+    sys_.validate()
 
 
 def test_simulate_rescaled_embeddings_and_errors(rng):

@@ -8,15 +8,14 @@ import pytest
 from scipy import stats
 
 from nigdiff.errors import (DomainError, InternalConsistencyError)
-from nigdiff.gibbs import (GGParams, PDParams, WeightPair, eppf, log_v,
+from nigdiff.gibbs import (GGParams, PDParams, WeightPair, eppf,
+                           integer_partitions, log_v, shape_count,
                            weights_gg_exact, weights_gg_quadrature,
                            weights_pd)
 from nigdiff.specfun import gen_factorial_coeff
 from nigdiff.urn import (GemWeights, PartitionState, ordered_frequencies,
                          predictive_weights, sample_gem, sample_k_batch,
                          sample_partition, urn_step)
-
-from conftest import all_shapes, shape_count
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +94,8 @@ def test_urn_shape_distribution_matches_eppf(rng):
     for _ in range(reps):
         shape = sample_partition(n, params, rng).shape()
         counts[shape] = counts.get(shape, 0) + 1
-    exact = {shape: shape_count(shape) * eppf(list(shape), params)
-             for shape in all_shapes(n)}
+    exact = {tuple(shape): shape_count(shape) * eppf(shape, params)
+             for shape in integer_partitions(n)}
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-9)
     tv = 0.5 * sum(abs(counts.get(shape, 0) / reps - p)
                    for shape, p in exact.items())
