@@ -1,7 +1,8 @@
-/* Event loops of the long single trajectories: the block-count chain and
- * the scalar Moran dynamics.  Both read uniforms that numpy drew, in the
- * order numpy drew them, so that a run is fixed by the numpy generator
- * alone.  Built and loaded by _kernels.py. */
+/* Event loops of the block-count chain and of the Moran dynamics, the
+ * one engine of both the long single trajectories and the ensembles of
+ * short replicas.  Both read uniforms that numpy drew, in the order numpy
+ * drew them, so that a run is fixed by the numpy generator alone.  Built
+ * and loaded by _kernels.py. */
 
 #include <stdint.h>
 #include <string.h>
@@ -35,8 +36,9 @@ int64_t chain_run(int64_t reps, int64_t steps, int64_t first_step,
     return rows;
 }
 
-/* Moran events on one system of n particles: particle i has the type in
- * slot slots[i], and counts[t] particles have type t.
+/* Moran events on `reps` systems of n particles each, run one after
+ * another: in row r, particle i has the type in slot slots[r n + i], and
+ * counts[r n + t] particles have type t.
  *
  * One event removes particle i = floor(u n).  With g0 given (free mode)
  * the next uniform makes the incoming particle fresh when it is below
@@ -47,71 +49,80 @@ int64_t chain_run(int64_t reps, int64_t steps, int64_t first_step,
  * until j = floor(u n) differs from i and a c < c - alpha, with c the
  * post-removal count of j's type; the incoming particle copies that type.
  *
- * state = {events done, k, sum of squared counts, sum over the events
- * numbered above burn_in of the sum of squares after the event}.  Runs
- * until `events` are done or the uniforms run out; an event is applied
- * only once its uniforms are all read, so the return value, the uniforms
- * consumed, always ends at an event boundary. */
-int64_t particle_run(int32_t n, double alpha, const double *g0,
+ * state = {row, events done in that row, sum over the events numbered
+ * above burn_in of the sum of squared counts after the event}.  The
+ * number of types and the sum of squares of a row are read from its
+ * counts whenever the row is entered.  Runs until every row has done
+ * `events` or the uniforms run out; an event is applied only once its
+ * uniforms are all read, so the return value, the uniforms consumed,
+ * always ends at an event boundary. */
+int64_t particle_run(int64_t reps, int32_t n, double alpha, const double *g0,
                      int64_t events, int64_t burn_in, const double *u,
                      int64_t len, int32_t *slots, int32_t *counts,
                      int64_t *state)
 {
-    int64_t done = state[0], k = state[1], ssq = state[2], acc = state[3];
+    int64_t row = state[0], done = state[1], acc = state[2];
     int64_t pos = 0;
-    while (done < events) {
-        int64_t p = pos;
-        if (p >= len)
-            break;
-        int32_t i = (int32_t)(u[p++] * n);
-        int32_t removed = slots[i];
-        int64_t c = counts[removed];
-        int singleton = c == 1;
-        int fresh = singleton;
-        if (g0) {
-            if (p >= len)
-                break;
-            fresh = u[p++] < g0[k - singleton - 1];
+    for (; row < reps; row++, done = 0) {
+        int32_t *sl = slots + row * n, *ct = counts + row * n;
+        int64_t k = 0, ssq = 0;
+        for (int32_t t = 0; t < n; t++) {
+            k += ct[t] != 0;
+            ssq += (int64_t)ct[t] * ct[t];
         }
-        int32_t target = removed;
-        if (fresh) {
-            if (!singleton) {
-                target = 0;
-                while (counts[target])
-                    target++;
-            }
-        } else {
-            for (;;) {
-                if (p + 2 > len)
+        while (done < events) {
+            int64_t p = pos;
+            if (p >= len)
+                goto out;
+            int32_t i = (int32_t)(u[p++] * n);
+            int32_t removed = sl[i];
+            int64_t c = ct[removed];
+            int singleton = c == 1;
+            int fresh = singleton;
+            if (g0) {
+                if (p >= len)
                     goto out;
-                int32_t j = (int32_t)(u[p] * n);
-                double a = u[p + 1];
-                p += 2;
-                if (j == i)
-                    continue;
-                int32_t t = slots[j];
-                double ct = (double)(counts[t] - (t == removed));
-                if (a * ct < ct - alpha) {
-                    target = t;
-                    break;
+                fresh = u[p++] < g0[k - singleton - 1];
+            }
+            int32_t target = removed;
+            if (fresh) {
+                if (!singleton) {
+                    target = 0;
+                    while (ct[target])
+                        target++;
+                }
+            } else {
+                for (;;) {
+                    if (p + 2 > len)
+                        goto out;
+                    int32_t j = (int32_t)(u[p] * n);
+                    double a = u[p + 1];
+                    p += 2;
+                    if (j == i)
+                        continue;
+                    int32_t t = sl[j];
+                    double cj = (double)(ct[t] - (t == removed));
+                    if (a * cj < cj - alpha) {
+                        target = t;
+                        break;
+                    }
                 }
             }
+            ct[removed] = (int32_t)(c - 1);
+            ssq += 1 - 2 * c;
+            int64_t cn = ct[target];
+            ct[target] = (int32_t)(cn + 1);
+            ssq += 2 * cn + 1;
+            sl[i] = target;
+            k += fresh - singleton;
+            pos = p;
+            if (++done > burn_in)
+                acc += ssq;
         }
-        counts[removed] = (int32_t)(c - 1);
-        ssq += 1 - 2 * c;
-        int64_t cn = counts[target];
-        counts[target] = (int32_t)(cn + 1);
-        ssq += 2 * cn + 1;
-        slots[i] = target;
-        k += fresh - singleton;
-        pos = p;
-        if (++done > burn_in)
-            acc += ssq;
     }
 out:
-    state[0] = done;
-    state[1] = k;
-    state[2] = ssq;
-    state[3] = acc;
+    state[0] = row;
+    state[1] = done;
+    state[2] = acc;
     return pos;
 }

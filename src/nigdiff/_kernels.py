@@ -1,5 +1,5 @@
 """Loader of ``_kernels.c``, the compiled event loops of the block-count
-chain (``chain_run``) and of the scalar Moran dynamics (``particle_run``).
+chain (``chain_run``) and of the Moran dynamics (``particle_run``).
 
 The first call of ``lib`` in a process compiles the source with gcc in a
 temporary directory and loads it; the directory is removed once the
@@ -48,6 +48,6 @@ def lib() -> ctypes.CDLL:
     so.chain_run.restype = _I64
     so.chain_run.argtypes = [_I64] * 4 + [_PTR] * 5
     so.particle_run.restype = _I64
-    so.particle_run.argtypes = [ctypes.c_int32, ctypes.c_double, _PTR, _I64,
-                                _I64, _PTR, _I64, _PTR, _PTR, _PTR]
+    so.particle_run.argtypes = [_I64, ctypes.c_int32, ctypes.c_double, _PTR,
+                                _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR]
     return so

@@ -66,18 +66,6 @@ def _rng(seed: int, replicate: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, replicate]))
 
 
-def _workers() -> int:
-    raw = os.environ.get("NIGDIFF_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(
-            f"NIGDIFF_WORKERS must be a positive integer, got {raw!r}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Experiments: each returns {filename_stem: (header, rows)}
 
@@ -171,33 +159,19 @@ def _exp_sde(cfg, params, seed):
     return {"sde": (["step", "time_rescaled", "value"], rows)}
 
 
-def _figure1_one(args):
-    beta, n, steps, k0, seed, record_every = args
-    params = GGParams.from_beta(beta)
-    path = diffusion.simulate_chain(n, steps, k0, params,
-                                    _rng(seed, int(beta)),
-                                    mode="exact", record_every=record_every)
-    rows = [[i * record_every, t, v]
-            for i, (t, v) in enumerate(zip(path.times, path.values))]
-    return beta, rows
-
-
 def _exp_figure1(cfg, params, seed):
     n = int(cfg.get("n", 200))
     steps = int(cfg.get("steps", 300_000))
     k0 = int(cfg.get("k0", 1))  # start at 1/sqrt(n) in rescaled units
     betas = cfg.get("betas", [0.0, 100.0, 1000.0])
     record_every = int(cfg.get("record_every", 100))
-    jobs = [(float(b), n, steps, k0, seed, record_every) for b in betas]
-    workers = _workers()
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_figure1_one, jobs)
-    else:
-        results = [_figure1_one(j) for j in jobs]
     out = {}
-    for beta, rows in sorted(results):
+    for beta in sorted(float(b) for b in betas):
+        path = diffusion.simulate_chain(n, steps, k0, GGParams.from_beta(beta),
+                                        _rng(seed, int(beta)), mode="exact",
+                                        record_every=record_every)
+        rows = [[i * record_every, t, v]
+                for i, (t, v) in enumerate(zip(path.times, path.values))]
         out[f"figure1_beta{beta:g}"] = (["step", "time_rescaled", "value"],
                                         rows)
     return out

@@ -11,17 +11,17 @@ probability (n_t - alpha)/n_t, which makes every event O(1) regardless
 of the number of types.  The conditioned variant takes g0 := [the
 removed particle was a singleton], so K never changes.
 
-The dynamics run on two engines, both on flat arrays of type slots and
-block counts.  ``moran_ensemble`` advances R independent replicas in
-lockstep on (R, n) numpy arrays, for the many short runs of the
-generator and stationarity checks.  ``particle_run`` is the scalar
-event loop for single long trajectories, free or conditioned
-(``simulate_rescaled``, ``conditioned_phi2_average``).  It is compiled C
-(``_kernels.c``, built by gcc on the first call in a process) and reads
-numpy uniforms from a ``UniformStream``: an event is applied only once
-all its uniforms are read, and what a chunk leaves over is carried into
-the next, so no uniform is discarded.  ``ParticleSystem`` is the
-dict-based state that the rescaled observables are read from.
+The dynamics run on one engine, compiled C (``_kernels.c``, built by
+gcc on the first call in a process) on flat int32 arrays of type slots
+and block counts.  ``particle_run`` runs one system, free or
+conditioned, for the long trajectories (``simulate_rescaled``,
+``conditioned_phi2_average``); ``moran_ensemble`` runs R free replicas
+as the rows of (R, n) arrays, one after another, for the many short
+runs of the generator and stationarity checks.  Both read numpy
+uniforms from a ``UniformStream``: an event is applied only once all
+its uniforms are read, and what a chunk leaves over is carried into the
+next, so no uniform is discarded.  ``ParticleSystem`` is the dict-based
+state that the rescaled observables are read from.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from .urn import PartitionState, predictive_weights, sample_partition
 class ParticleSystem:
     """n particles with integer type ids, their block counts and the sum
     of squared counts ``sum_sq``, from which the rescaled observables are
-    read; every id is below ``next_fresh_id`` (the base measure is
-    nonatomic, so a new type never collides with an old one).
-    ``simulate_rescaled`` writes its events back into one, with slot
-    numbers as type ids.
+    read.  ``simulate_rescaled`` writes its events back into one, with
+    slot numbers as type ids.
     """
 
-    __slots__ = ("assignments", "counts", "next_fresh_id", "sum_sq")
+    __slots__ = ("assignments", "counts", "sum_sq")
 
     def __init__(self, assignments):
         self.assignments = list(assignments)
@@ -55,7 +53,6 @@ class ParticleSystem:
         self.counts = {}
         for t in self.assignments:
             self.counts[t] = self.counts.get(t, 0) + 1
-        self.next_fresh_id = max(self.counts) + 1
         self.sum_sq = sum(c * c for c in self.counts.values())
 
     @property
@@ -101,8 +98,6 @@ class ParticleSystem:
             recount[t] = recount.get(t, 0) + 1
         if recount != self.counts:
             raise InternalConsistencyError("counts out of sync")
-        if self.counts and max(self.counts) >= self.next_fresh_id:
-            raise InternalConsistencyError("fresh-id counter behind")
         if self.sum_sq != sum(c * c for c in recount.values()):
             raise InternalConsistencyError("sum of squares out of sync")
 
@@ -139,27 +134,22 @@ def _g0_table(n: int, params) -> np.ndarray:
 
 
 def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
-    """Run ``events`` Moran events on each of R independent replicas in
-    lockstep: per replica the law of a free ``particle_run``.
+    """Run ``events`` free Moran events on each of R independent replicas,
+    one after another from one ``UniformStream`` of ``rng``: row r is the
+    free ``particle_run`` that follows row r - 1's on the same uniforms.
 
     ``slots`` is an (R, n) integer array: particle j of replica r has
     the type held in slot ``slots[r, j]``, 0 <= slot < n (a broadcast
     view such as ``np.broadcast_to(start, (R, n))`` is copied).  Returns
     the final ``(slots, counts)``, two int32 (R, n) arrays with
     ``counts[r, t]`` the number of particles of replica r in slot t.
-
-    Each step removes one uniform particle per replica, reads g0 from a
-    table over k_r = 1..n-1 built once per call, and puts a fresh type
-    in an empty slot: the freed slot when the removed particle was a
-    singleton, otherwise the row's first empty slot.  A slot is reused
-    once it has emptied, which is harmless because only counts are
-    observed.  Copies are accepted by rejection on the shrinking set of
-    rows still unaccepted: a uniform particle j != i is drawn and its
-    type t taken with probability (c_t - alpha)/c_t.
+    g0 is read from one table over k_r = 1..n-1 built per call.
     """
-    slots = np.array(slots, dtype=np.int32, order="C")
+    slots = np.asarray(slots)
     if slots.ndim != 2:
         raise DomainError("slots must be an (R, n) array")
+    if not np.issubdtype(slots.dtype, np.integer):
+        raise DomainError(f"slots must be integers, not {slots.dtype}")
     reps, n = slots.shape
     if n < 2:
         raise DomainError("moran_ensemble requires n >= 2")
@@ -168,38 +158,13 @@ def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     if slots.size and (slots.min() < 0 or slots.max() >= n):
         raise DomainError("slots must lie in 0..n-1")
     g0 = _g0_table(n, params)
-    alpha = params.alpha
-    rows = np.arange(reps)
-    counts = np.zeros((reps, n), dtype=np.int32)
-    for column in slots.T:
-        counts[rows, column] += 1
-    k = np.count_nonzero(counts, axis=1)
-    # flat views: particle (r, j) is at r*n + j, slot (r, t) at r*n + t
-    flat_slots, flat_counts = slots.reshape(-1), counts.reshape(-1)
-    offsets = rows * n
-    for _ in range(events):
-        removed = offsets + rng.integers(n, size=reps)
-        slot = offsets + flat_slots[removed]
-        c = flat_counts[slot]
-        flat_counts[slot] = c - 1
-        singleton = c == 1
-        k -= singleton
-        fresh = rng.random(reps) < g0[k - 1]
-        moved = rows[fresh & ~singleton]
-        slot[moved] = offsets[moved] + np.argmax(counts[moved] == 0, axis=1)
-        flat_counts[slot[fresh]] += 1
-        flat_slots[removed[fresh]] = slot[fresh] - offsets[fresh]
-        k += fresh
-        pending = np.flatnonzero(~fresh)
-        target = removed[pending]
-        while pending.size:
-            j = offsets[pending] + rng.integers(n, size=pending.size)
-            t = offsets[pending] + flat_slots[j]
-            ct = flat_counts[t]
-            ok = (j != target) & (rng.random(pending.size) * ct < ct - alpha)
-            flat_slots[target[ok]] = flat_slots[j[ok]]
-            flat_counts[t[ok]] += 1
-            pending, target = pending[~ok], target[~ok]
+    slots = np.array(slots, dtype=np.int32, order="C")
+    flat = (slots + np.arange(0, reps * n, n)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=reps * n).astype(np.int32).reshape(
+        reps, n)
+    # burn_in = events: no sum_sq is summed, so R rows cannot overflow it
+    _drive(slots, counts, events, params.alpha, UniformStream(rng), g0,
+           burn_in=events)
     return slots, counts
 
 
@@ -234,9 +199,11 @@ def particle_run(slots, counts, events: int, alpha: float,
     free: the incoming particle is fresh with probability g0(n-1, k_r).
     Without one they are conditioned: it is fresh exactly when the
     removed particle was a singleton, so K never changes.  Otherwise it
-    copies a surviving type, by rejection on the post-removal counts as
-    in ``moran_ensemble``; a fresh type takes the freed slot, or the
-    first empty one.  Per event the uniforms are read in the order i,
+    copies a surviving type: a uniform particle j != i is drawn and its
+    type t taken with probability (c_t - alpha)/c_t on the post-removal
+    counts.  A fresh type takes the freed slot, or the first empty one;
+    a slot is reused once it has emptied, which is harmless because only
+    counts are observed.  Per event the uniforms are read in the order i,
     the fresh draw (free mode only), then (j, accept) pairs.
     """
     n = slots.size
@@ -260,19 +227,27 @@ def particle_run(slots, counts, events: int, alpha: float,
         g0 = np.ascontiguousarray(g0, dtype=np.float64)
         if g0.shape != (n - 1,):
             raise DomainError("g0 must hold one entry per k = 1..n-1")
-    wide = counts.astype(np.int64)
-    state = np.array([0, np.count_nonzero(counts), wide @ wide, 0],
-                     dtype=np.int64)
+    return _drive(slots.reshape(1, n), counts.reshape(1, n), events, alpha,
+                  uniforms, g0, burn_in)
+
+
+def _drive(slots, counts, events, alpha, uniforms, g0, burn_in):
+    """Run ``events`` events on each row of the (R, n) int32 arrays, in
+    place, with the compiled loop, drawing chunks from ``uniforms`` until
+    every row is done; return the sum of sum_sq after each event
+    numbered above ``burn_in``."""
+    reps, n = slots.shape
+    state = np.zeros(3, dtype=np.int64)
     run = _kernels.lib().particle_run
     table = None if g0 is None else g0.ctypes.data
     while True:
         buf = uniforms.buffer
-        used = run(n, alpha, table, events, burn_in, buf.ctypes.data,
+        used = run(reps, n, alpha, table, events, burn_in, buf.ctypes.data,
                    buf.size, slots.ctypes.data, counts.ctypes.data,
                    state.ctypes.data)
         uniforms.buffer = buf[used:]
-        if state[0] == events:
-            return int(state[3])
+        if state[0] == reps:
+            return int(state[2])
         uniforms.extend()
 
 
@@ -405,7 +380,6 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
             sys0.assignments = slots.tolist()
             sys0.counts = {t: c for t, c in enumerate(counts.tolist()) if c}
             sys0.sum_sq = sum(c * c for c in sys0.counts.values())
-            sys0.next_fresh_id = max(sys0.next_fresh_id, n)
         if idx in k_set:
             k_snap[idx] = sys0.K / sqrt_n
         if idx in f_set:

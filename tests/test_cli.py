@@ -88,16 +88,6 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["two", "0", "-1"])
-def test_invalid_workers_env_exits_2(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setenv("NIGDIFF_WORKERS", workers)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 20, "steps": 10, "betas": [0.0]}))
-    assert main(["figure1", "--seed", "1", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "NIGDIFF_WORKERS" in capsys.readouterr().err
-
-
 def test_boundary_experiment_outputs(tmp_path):
     assert main(["boundary", "--seed", "3",
                  "--out", str(tmp_path / "o")]) == 0

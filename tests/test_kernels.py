@@ -1,8 +1,9 @@
 """The compiled event loops against their pure-Python references in
 conftest.py: the block-count chain bit for bit against the per-step
 numpy loop, the Moran loop bit for bit against its mirror in both modes
-and at every chunk size, the chain's law where the numpy loop's is
-wrong, the refusals, and the lazy gcc build."""
+and at every chunk size, the ensemble's rows as successive mirror runs,
+the chain's law where the numpy loop's is wrong, the refusals, and the
+lazy gcc build."""
 
 import os
 import subprocess
@@ -116,6 +117,42 @@ def test_uniform_stream_carries_the_tail_across_calls():
     assert got[0].tolist() == slots and got[1].tolist() == counts
     drawn = 64 * -(-used // 64)
     assert stream.buffer.tolist() == uniforms[used:drawn]
+
+
+@pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
+                                    PDParams(theta=1.5, alpha=0.3)])
+@pytest.mark.parametrize("reps", [1, 3, 17])
+@pytest.mark.parametrize("events", [0, 1, 50])
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_ensemble_rows_are_successive_mirror_runs(monkeypatch, params, reps,
+                                                   events, chunk):
+    # row r is the free mirror run that starts where row r - 1's stopped
+    # on one unbroken uniform sequence, whatever the chunk size
+    monkeypatch.setattr(particle, "UniformStream",
+                        lambda rng: UniformStream(rng, chunk))
+    n = 12
+    g0 = particle._g0_table(n, params)
+    for seed in range(3):
+        start = np.random.default_rng([seed, 1]).integers(0, n, (reps, n))
+        uniforms = np.random.default_rng(seed).random(50_000).tolist()
+        rng = np.random.default_rng(seed)
+        slots, counts = particle.moran_ensemble(start, events, params, rng)
+        assert slots.dtype == counts.dtype == np.int32
+        used = 0
+        for r in range(reps):
+            row_counts = np.bincount(start[r], minlength=n)
+            want_slots, want_counts, _, read = python_particle_run(
+                start[r], row_counts, events, params.alpha, uniforms[used:],
+                g0=g0)
+            assert slots[r].tolist() == want_slots
+            assert counts[r].tolist() == want_counts
+            used += read
+        if events == 0:
+            assert used == 0 and np.array_equal(slots, start)
+        # the stream drew whole chunks and nothing past the last one needed
+        drawn = chunk * -(-used // chunk)
+        assert rng.random() == np.random.default_rng(seed).random(
+            drawn + 1)[drawn]
 
 
 def test_particle_run_refusals():

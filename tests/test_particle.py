@@ -10,7 +10,7 @@ from nigdiff import particle
 from nigdiff.diffusion import SimplexPoint, generator_action_power_sum
 from nigdiff.errors import DomainError, InternalConsistencyError
 from nigdiff.gibbs import GGParams, PDParams, conditional_phi2_mean
-from nigdiff.particle import (ParticleSystem, UniformStream,
+from nigdiff.particle import (ParticleSystem, UniformStream, balanced_sizes,
                               conditioned_phi2_average, moran_ensemble,
                               moran_phi2_drift, particle_run,
                               simulate_rescaled)
@@ -39,10 +39,6 @@ def test_round_trip_partition_particles():
 def test_validate_catches_desync():
     sys_ = ParticleSystem([0, 0, 1])
     sys_.sum_sq = 99
-    with pytest.raises(InternalConsistencyError):
-        sys_.validate()
-    sys_ = ParticleSystem([0, 0, 1])
-    sys_.next_fresh_id = 1
     with pytest.raises(InternalConsistencyError):
         sys_.validate()
 
@@ -102,6 +98,12 @@ def test_moran_ensemble_validation(rng, monkeypatch):
         moran_ensemble(np.array([[0, 1, 4]]), 5, params, rng)
     with pytest.raises(DomainError):
         moran_ensemble(np.zeros((2, 3), dtype=int), 5, object(), rng)
+    # refused in the caller's dtype, before an int32 cast could wrap
+    # 2**32 + 2 to 2 or truncate 1.7 to 1
+    with pytest.raises(DomainError):
+        moran_ensemble(np.array([[0, 1, 2 ** 32 + 2]]), 5, params, rng)
+    with pytest.raises(DomainError):
+        moran_ensemble(np.array([[0, 1.7, 2]]), 5, params, rng)
     # a weight table whose entries do not sum to one is refused up front
     monkeypatch.setattr(particle, "weights_gg_batch",
                         lambda n, k, p: (np.full(k.shape, 0.5),
@@ -305,6 +307,29 @@ def test_moran_phi2_drift_approaches_generator_action():
         limit = generator_action_power_sum(2, s, point, params)
         gaps.append(abs(drift - limit))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_ensemble_derivative_matches_exact_finite_n_drift():
+    # criterion-12's state and sizes: the Richardson-extrapolated
+    # derivative of E[phi_2] against the exact one-event drift at n = 300,
+    # which carries none of the n -> infinity generator's finite-n bias
+    params = GGParams.from_beta(2.0)
+    n, paths, h = 300, 10_000, 0.004
+    sizes = balanced_sizes(n, math.ceil(2.0 * math.sqrt(n)))
+    start = np.repeat(np.arange(len(sizes)), sizes)
+    phi0 = sum(c * c for c in sizes) / (n * n)
+    fd, var = [], []
+    for step_h, stream in ((h, 1), (2.0 * h, 2)):
+        rng = np.random.default_rng([12, 0, stream])
+        _, counts = moran_ensemble(np.broadcast_to(start, (paths, n)),
+                                   int(round(n * n * step_h / 2.0)), params,
+                                   rng)
+        samples = np.einsum("ij,ij->i", counts, counts) / (n * n)
+        fd.append((samples.mean() - phi0) / step_h)
+        var.append(samples.var(ddof=1) / paths / step_h ** 2)
+    z = ((2.0 * fd[0] - fd[1] - moran_phi2_drift(sizes, params))
+         / math.sqrt(4.0 * var[0] + var[1]))
+    assert abs(z) < 3.0
 
 
 def test_moran_phi2_drift_validation():
