@@ -24,7 +24,10 @@ Two routes are provided for the generalized-gamma predictive weights
 
 The same kernel backs ``log_v``, which scalar callers read, like
 ``weights_gg_quadrature``, from one table of n-rows per parameter set,
-and ``g0_batch``, which evaluates arrays of states for the samplers.
+and ``weights_gg_batch``, which evaluates arrays of states for the
+samplers.  The batch urn reads one kernel row per block of steps and
+fills in the rows below it by the positive recursion of the Gibbs
+triangle, V(n, k) = (n - alpha*k) V(n+1, k) + V(n+1, k+1).
 
 The partition laws (EPPF, singleton-count law and its factorial
 moments) are sums of positive terms V(n, k) times weighted partition
@@ -379,10 +382,38 @@ def weights_gg_batch(n_arr: np.ndarray, k_arr: np.ndarray, params: GGParams):
     return 1.0 - (1.0 - params.alpha * k / n) * w, w / n
 
 
-def g0_batch(n_arr: np.ndarray, k_arr: np.ndarray,
+def _g0_rows(m0: int, m1: int, lo: int, hi: int,
              params: GGParams) -> np.ndarray:
-    """g0(n, k) = 1 - (1 - alpha*k/n) w(n, k) for arrays of states."""
-    return np.clip(weights_gg_batch(n_arr, k_arr, params)[0], 0.0, 1.0)
+    """g0(m, k) at rows[m - m0, k - lo] for m0 <= m <= m1 and
+    lo <= k <= min(m, hi + m - m0), the states an urn at m0 with block
+    counts in [lo, hi] can reach by step m1 (nan elsewhere), from one
+    kernel row and a downward recursion of positive terms.
+
+    Row m1 is the kernel's g0, clipped to [0, 1], over
+    k = lo..min(m1, hi + m1 - m0).  The Gibbs triangle
+    V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
+    rho(m, k) = V(m, k+1)/V(m, k) and d(m, k) = V(m, k)/V(m+1, k),
+
+        d(m, k) = (m - alpha*k) + rho(m+1, k),
+        rho(m, k) = rho(m+1, k) d(m, k+1) / d(m, k),
+        g0(m, k) = rho(m+1, k) / d(m, k),
+
+    from rho(m1+1, k) = g0/g1 of the kernel row.  Each row needs one
+    more k above it, so the rows narrow by one per step down.
+    """
+    k = np.arange(lo, min(m1, hi + m1 - m0) + 1.0)
+    g0, g1 = weights_gg_batch(np.full(k.shape, float(m1)), k, params)
+    g0 = np.clip(g0, 0.0, 1.0)
+    rows = np.full((m1 - m0 + 1, k.size), np.nan)
+    rows[-1] = g0
+    ak = params.alpha * k
+    rho = g0 / g1
+    d = (m1 - ak) + rho
+    for m in range(m1 - 1, m0 - 1, -1):
+        rho = rho[:-1] * d[1:] / d[:-1]  # rho(m+1, k)
+        d = (m - ak[:rho.size]) + rho
+        rows[m - m0, :rho.size] = rho / d
+    return rows
 
 
 # ---------------------------------------------------------------------------

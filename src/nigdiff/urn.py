@@ -9,14 +9,17 @@ reinforced with probability g1(n, k) * (n_j - alpha).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import (GGParams, PDParams, WeightPair, g0_batch,
+from .gibbs import (GGParams, PDParams, WeightPair, _g0_rows,
                     weights_gg_quadrature, weights_pd)
+
+_STEP_BLOCK = 64  # urn steps per kernel row in sample_k_batch
 
 
 @dataclass
@@ -134,15 +137,27 @@ def sample_partition(n: int, params, rng: np.random.Generator
 def sample_k_batch(n: int, params: GGParams, replicates: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Number of blocks K_n in ``replicates`` independent urn runs,
-    grown jointly with vectorized weight evaluation (one batched
-    quadrature per step over the distinct K values present)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    grown jointly, one uniform per replicate and step.  The steps run in
+    blocks of _STEP_BLOCK: each block reads g0 for every state its runs
+    can reach from one kernel row at its last step and the positive
+    Gibbs-triangle recursion below it (``gibbs._g0_rows``)."""
+    if not isinstance(params, GGParams):
+        raise DomainError(f"sample_k_batch needs GGParams, not "
+                          f"{type(params).__name__}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(replicates, numbers.Integral) or replicates < 0:
+        raise DomainError(f"replicates must be an integer >= 0, "
+                          f"got {replicates!r}")
     k = np.ones(replicates, dtype=np.int64)
-    for m in range(1, n):
-        uk = np.unique(k)
-        g0 = g0_batch(np.full(uk.shape, float(m)), uk.astype(float), params)
-        k += rng.random(replicates) < g0[np.searchsorted(uk, k)]
+    if replicates == 0:
+        return k
+    for m0 in range(1, n, _STEP_BLOCK):
+        m1 = min(n - 1, m0 + _STEP_BLOCK - 1)
+        lo = int(k.min())
+        rows = _g0_rows(m0, m1, lo, int(k.max()), params)
+        for row in rows:
+            k += rng.random(replicates) < row[k - lo]
     return k
 
 

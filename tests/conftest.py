@@ -1,7 +1,8 @@
 """Shared test helpers: set-partition enumeration, the
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
 the direct alternating sum used as the reference for the exact route,
-and pure-Python references for the two compiled event loops."""
+pure-Python references for the two compiled event loops, and the
+step-by-step batch urn."""
 
 import math
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from scipy import integrate
 
 from nigdiff.errors import NumericalError
-from nigdiff.gibbs import GGParams, _check_nk
+from nigdiff.gibbs import GGParams, _check_nk, weights_gg_batch
 
 
 def set_partitions(items):
@@ -285,6 +286,20 @@ def python_particle_run(slots, counts, events, alpha, uniforms, g0=None,
         if event > burn_in:
             total += ssq
     return slots, counts, total, pos
+
+
+def stepwise_k_batch(n, params, replicates, rng):
+    """Block counts of ``replicates`` urn runs grown one step at a time,
+    one ``rng.random(replicates)`` per step: a run at (m, k) opens a new
+    block when u < g0(m, k), with g0 from one kernel call per step over
+    the distinct k present, clipped to [0, 1]."""
+    k = np.ones(replicates, dtype=np.int64)
+    for m in range(1, n):
+        uk = np.unique(k)
+        g0 = np.clip(weights_gg_batch(np.full(uk.shape, float(m)),
+                                      uk.astype(float), params)[0], 0.0, 1.0)
+        k += rng.random(replicates) < g0[np.searchsorted(uk, k)]
+    return k
 
 
 @pytest.fixture

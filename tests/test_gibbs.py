@@ -14,7 +14,7 @@ from nigdiff import gibbs
 from nigdiff.errors import (DomainError, PrecisionLossError,
                             UnsupportedParameterError)
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
-                           conditional_phi2_mean, eppf, eppf_log, g0_batch,
+                           conditional_phi2_mean, eppf, eppf_log,
                            integer_partitions, log_v, m1_factorial_moment,
                            m1_pmf, shape_count, weights_gg_asymptotic,
                            weights_gg_batch,
@@ -212,14 +212,13 @@ def test_batch_matches_scalar_rows():
               (5000, 141)]
     n = np.array([s[0] for s in states], dtype=float)
     k = np.array([s[1] for s in states], dtype=float)
-    batch = g0_batch(n, k, params)
     g0, g1 = weights_gg_batch(n, k, params)
     for i, (nn, kk) in enumerate(states):
         scalar = weights_gg_quadrature(nn, kk, params)
-        assert batch[i] == g0[i] == pytest.approx(scalar.g0, rel=1e-12)
+        assert g0[i] == pytest.approx(scalar.g0, rel=1e-12)
         assert g1[i] == pytest.approx(scalar.g1, rel=1e-12)
     with pytest.raises(DomainError):
-        g0_batch(np.array([3.0]), np.array([4.0]), params)
+        weights_gg_batch(np.array([3.0]), np.array([4.0]), params)
 
 
 def test_g0_batch_matches_quadrature():
@@ -231,11 +230,39 @@ def test_g0_batch_matches_quadrature():
     k = np.array([s[1] for s in states], dtype=float)
     for beta in BETAS:
         params = gg(beta)
-        batch = g0_batch(n, k, params)
+        batch = weights_gg_batch(n, k, params)[0]
         for i, (nn, kk) in enumerate(states):
             oracle = math.exp(adaptive_log_v(nn + 1, kk + 1, params)
                               - adaptive_log_v(nn, kk, params))
             assert batch[i] == pytest.approx(oracle, rel=1e-10)
+
+
+def _assert_rows_match_kernel(m0, m1, lo, hi, params):
+    rows = gibbs._g0_rows(m0, m1, lo, hi, params)
+    m = np.arange(m0, m1 + 1)[:, None]
+    k = np.arange(lo, min(m1, hi + m1 - m0) + 1)[None, :]
+    assert rows.shape == (m.size, k.size)
+    # the states an urn with counts in [lo, hi] at m0 can reach
+    reach = k <= np.minimum(m, hi + m - m0)
+    assert np.array_equal(~np.isnan(rows), reach)
+    m, k = np.broadcast_arrays(m, k)
+    g0 = weights_gg_batch(m[reach].astype(float), k[reach].astype(float),
+                          params)[0]
+    assert np.max(np.abs(rows[reach] / g0 - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("params", [gg(0.5), gg(2.0), gg(10.0),
+                                    GGParams(a=0.0),
+                                    GGParams.from_beta(2.0, alpha=0.3)],
+                         ids=["beta0.5", "beta2", "beta10", "a0", "alpha0.3"])
+def test_g0_rows_recursion_matches_kernel_triangle(params):
+    # 399 rows down from one kernel row at m = 400 cover the whole
+    # triangle 1 <= k <= m <= 400
+    _assert_rows_match_kernel(1, 400, 1, 1, params)
+
+
+def test_g0_rows_recursion_matches_kernel_far_out():
+    _assert_rows_match_kernel(4993, 5056, 120, 190, gg(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ from nigdiff.gibbs import (GGParams, PDParams, WeightPair, eppf,
                            integer_partitions, log_v, shape_count,
                            weights_gg_exact, weights_gg_quadrature,
                            weights_pd)
-from nigdiff.specfun import gen_factorial_coeff
+from nigdiff.specfun import gen_factorial_coeff, gen_factorial_coeff_log_table
 from nigdiff.urn import (GemWeights, PartitionState, ordered_frequencies,
                          predictive_weights, sample_gem, sample_k_batch,
                          sample_partition, urn_step)
+
+from conftest import stepwise_k_batch
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,18 @@ def test_urn_shape_distribution_matches_eppf(rng):
     assert tv < 0.02
 
 
+def _chi2_p(ks, pmf):
+    """Chi-square p-value of block counts against P(K_n = k), k = 1..n,
+    with the bins of expectation below 5 merged into one."""
+    observed = np.bincount(ks, minlength=pmf.size + 1)[1:].astype(float)
+    expected = pmf * ks.size
+    keep = expected >= 5.0
+    obs = np.append(observed[keep], observed[~keep].sum())
+    exp = np.append(expected[keep], expected[~keep].sum())
+    chi2 = ((obs - exp) ** 2 / exp).sum()
+    return stats.chi2.sf(chi2, df=len(obs) - 1)
+
+
 def test_sample_k_batch_matches_exact_block_count_law(rng):
     params = GGParams.from_beta(0.5)
     n, reps = 15, 20_000
@@ -115,15 +129,37 @@ def test_sample_k_batch_matches_exact_block_count_law(rng):
                     * gen_factorial_coeff(n, k, alpha) / alpha ** k
                     for k in range(1, n + 1)])
     assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
-    observed = np.bincount(ks, minlength=n + 1)[1:].astype(float)
-    expected = pmf * reps
-    # merge bins with tiny expectation so the chi-square is valid
-    keep = expected >= 5.0
-    obs = np.append(observed[keep], observed[~keep].sum())
-    exp = np.append(expected[keep], expected[~keep].sum())
-    chi2 = ((obs - exp) ** 2 / exp).sum()
-    p = stats.chi2.sf(chi2, df=len(obs) - 1)
-    assert p > 1e-3
+    assert _chi2_p(ks, pmf) > 1e-3
+
+
+def test_sample_k_batch_matches_exact_law_across_blocks(rng):
+    # n = 1000 runs its 999 steps in 16 blocks; n = 15 stays in one
+    params = GGParams.from_beta(2.0)
+    n, reps = 1000, 20_000
+    ks = sample_k_batch(n, params, reps, rng)
+    assert np.all((1 <= ks) & (ks <= n))
+    alpha = params.alpha
+    log_c = gen_factorial_coeff_log_table(n, n, alpha)[n, 1:]
+    log_pmf = np.array([log_v(n, k, params) for k in range(1, n + 1)])
+    pmf = np.exp(log_pmf + log_c - np.arange(1, n + 1) * math.log(alpha))
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+    assert _chi2_p(ks, pmf) > 1e-3
+
+
+@pytest.mark.parametrize("params", [GGParams.from_beta(2.0), GGParams(a=0.0),
+                                    GGParams.from_beta(2.0, alpha=0.3),
+                                    GGParams.from_beta(2.0, alpha=0.8)],
+                         ids=["nig", "a0", "alpha0.3", "alpha0.8"])
+def test_sample_k_batch_equals_stepwise_reference(params):
+    # block edges at 1, 2, 3 and 63..66 steps, and several blocks; the
+    # recursion's g0 differs from the kernel's in the last digits only,
+    # so the draws agree unless a uniform falls within ~1e-13 of g0
+    for i, (n, reps) in enumerate((n, reps)
+                                  for n in (1, 2, 3, 63, 64, 65, 66, 129, 400)
+                                  for reps in (1, 7, 300)):
+        got = sample_k_batch(n, params, reps, np.random.default_rng(i))
+        want = stepwise_k_batch(n, params, reps, np.random.default_rng(i))
+        assert np.array_equal(got, want), (n, reps)
 
 
 def test_sample_k_batch_agrees_with_scalar_urn(rng):
@@ -137,8 +173,21 @@ def test_sample_k_batch_agrees_with_scalar_urn(rng):
 
 
 def test_sample_k_batch_validation(rng):
+    params = GGParams.from_beta(1.0)
+    for n in (0, -3, 10.0, 2.5, "10"):
+        with pytest.raises(DomainError):
+            sample_k_batch(n, params, 10, rng)
+    for reps in (-1, 2.0, 2.5, None):
+        with pytest.raises(DomainError):
+            sample_k_batch(10, params, reps, rng)
     with pytest.raises(DomainError):
-        sample_k_batch(0, GGParams.from_beta(1.0), 10, rng)
+        sample_k_batch(10, PDParams(theta=1.0, alpha=0.5), 10, rng)
+    empty = sample_k_batch(10, params, 0, rng)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert np.array_equal(sample_k_batch(np.int64(5), params, np.int32(3),
+                                         np.random.default_rng(1)),
+                          sample_k_batch(5, params, 3,
+                                         np.random.default_rng(1)))
     with pytest.raises(DomainError):
         sample_partition(0, GGParams.from_beta(1.0), rng)
 
