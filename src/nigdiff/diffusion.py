@@ -10,6 +10,10 @@ compiled ``chain_run`` loop (``_kernels.c``, built by gcc on the first
 call in a process).  It reads one uniform per replica-step, drawn by
 numpy in chunks of at most 2^16 and in the order of one
 ``rng.random(R)`` per step, and discards none.
+
+scipy is imported only inside ``stationary_tail_partial_integral``,
+whose quadrature is its one use here; the chain, the SDE and the
+generator actions run without it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError, NumericalError
@@ -314,6 +317,7 @@ def stationary_tail_partial_integral(t_upper: float, beta: float,
     certifying that the C2 term of the candidate is not integrable."""
     if not 0 < lower < t_upper:
         raise DomainError("need 0 < lower < T")
+    from scipy import integrate
     val, err = integrate.quad(
         lambda x: math.exp(-2 * beta / x) / x, lower, t_upper,
         epsabs=1e-12, epsrel=1e-10, limit=300)

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (DomainError, NumericalError, PrecisionLossError,
                      UnsupportedParameterError)
@@ -307,8 +306,11 @@ def _log_v_w(n: np.ndarray, k: np.ndarray, params: GGParams):
     f, p, _ = _log_integrand(mode + half * (1.0 + _GL_NODES), k, c, params)
     mass = np.exp(f - peak) * _GL_WEIGHTS * np.abs(half)
     den = mass.sum(axis=(1, 2))
+    # math.lgamma keeps scipy off the kernel's path; it can differ from
+    # scipy's gammaln by an ulp, which moves log V but not w
+    log_gamma_n = np.array([math.lgamma(m) for m in n.ravel().tolist()])
     log_v = (peak.ravel() + params.beta + np.log(den)
-             + k.ravel() * math.log(a) - gammaln(n.ravel()))
+             + k.ravel() * math.log(a) - log_gamma_n)
     return log_v, (mass * p).sum(axis=(1, 2)) / den
 
 

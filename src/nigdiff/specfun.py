@@ -7,6 +7,10 @@ stable and alpha-diversity densities.  The coefficients come from a
 triangular recursion whose terms are all positive, accumulated in log
 space, so no alternating sum is needed.
 
+scipy is imported only inside the incomplete gamma (``gammaincc``,
+``exp1``) and Ei (``expi``), on their first call, so importing the
+package does not pay scipy's half-second import.
+
 All functions here are pure and thread-safe.
 """
 
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError, UnsupportedParameterError
 
@@ -38,6 +41,7 @@ def pochhammer(a: float, m: int) -> float:
 
 def _log_positive_gamma(c: float, x: float) -> float:
     """log Gamma(c; x) for c > 0 via the regularized function."""
+    from scipy import special
     q = special.gammaincc(c, x)
     if q <= 0.0:
         # deep underflow: first-order asymptotic Gamma(c;x) ~ x^{c-1} e^{-x}
@@ -123,6 +127,7 @@ def log_upper_incomplete_gamma(c: float, x: float) -> float:
     """
     if x <= 0:
         raise DomainError("upper incomplete gamma requires x > 0")
+    from scipy import special
     if abs(c) < 1e-300:
         # Gamma(c; x) -> E1(x); avoids 0/0 in the series branch and the
         # underflow of gammaincc (Q ~ c E1) at denormal c
@@ -187,6 +192,7 @@ def exp_integral_ei(z: float) -> float:
     """Ei(z), principal value for z > 0; domain error at the singularity."""
     if z == 0:
         raise DomainError("Ei has a logarithmic singularity at 0")
+    from scipy import special
     return float(special.expi(z))
 
 

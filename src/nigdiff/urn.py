@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+# Every sampler takes an np.random.Generator and cli._rng builds one, so
+# load numpy.random with the package rather than inside the first call.
+import numpy.random  # noqa: F401
 
 from .errors import DomainError, InternalConsistencyError
 from .gibbs import (GGParams, PDParams, WeightPair, _g0_rows,
@@ -125,8 +128,11 @@ def urn_step(state: PartitionState, weights: WeightPair, alpha: float,
 def sample_partition(n: int, params, rng: np.random.Generator
                      ) -> PartitionState:
     """Draw an n-item partition by iterating the urn from one item."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not isinstance(params, (GGParams, PDParams)):
+        raise DomainError(f"sample_partition needs GGParams or PDParams, "
+                          f"not {type(params).__name__}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     alpha = params.alpha
     state = PartitionState(block_sizes=[1])
     for m in range(1, n):

@@ -204,6 +204,32 @@ def test_log_v_matches_adaptive_oracle(beta):
             == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("beta", BETAS)
+def test_log_v_lgamma_matches_scipy_gammaln(beta):
+    # the kernel takes log Gamma(n) from math.lgamma, per element; with
+    # scipy's gammaln in its place log V moves by an ulp or two at most
+    from scipy.special import gammaln
+    params = gg(beta)
+    for n in (1, 2, 50, 200, 5000):
+        for k in range(1, n + 1):
+            lv = log_v(n, k, params)
+            ref = lv + math.lgamma(n) - float(gammaln(n))
+            assert abs(lv - ref) <= 4e-15 * abs(ref), (n, k)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_batch_weights_read_only_w(beta):
+    # g0 and g1 come from w alone, so the log Gamma(n) term of log V
+    # cannot move them
+    params = gg(beta)
+    n = np.array([1.0, 2.0, 50.0, 50.0, 200.0, 5000.0])
+    k = np.array([1.0, 1.0, 7.0, 50.0, 14.0, 141.0])
+    w = gibbs._log_v_w(n, k, params)[1]
+    g0, g1 = weights_gg_batch(n, k, params)
+    assert np.array_equal(g0, 1.0 - (1.0 - params.alpha * k / n) * w)
+    assert np.array_equal(g1, w / n)
+
+
 def test_batch_matches_scalar_rows():
     # one batch call over mixed n gives what the scalar readers take from
     # their per-n rows

@@ -1,0 +1,57 @@
+"""Import traffic: the package, its CLI and every sampler and weight
+route run without loading scipy, which costs about half a second of
+start-up; only the incomplete gamma, E1/Ei and the boundary quadrature
+load it, on first use."""
+
+import os
+import subprocess
+import sys
+
+import nigdiff
+
+SCRIPT = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy"
+                  or m.startswith("scipy."))
+
+import nigdiff, nigdiff.cli
+assert scipy_modules() == [], scipy_modules()
+assert "numpy.random" in sys.modules
+
+import numpy as np
+from nigdiff import (PDParams, sample_k_batch, sample_partition,
+                     upper_incomplete_gamma)
+from nigdiff.gibbs import (GGParams, conditional_phi2_mean, eppf, log_v,
+                           m1_pmf, weights_gg_quadrature)
+params = GGParams.from_beta(2.0)
+rng = np.random.default_rng(0)
+weights_gg_quadrature(20, 5, params)
+log_v(30, 4, params)
+eppf([3, 2, 1], params)
+m1_pmf(8, 2, params)
+conditional_phi2_mean(40, 6)
+sample_k_batch(100, params, 10, rng)
+sample_partition(30, params, rng)
+sample_partition(30, PDParams(theta=1.0, alpha=0.5), rng)
+nigdiff.cli.run("generator-check", {"n": 20, "paths": 20, "h": 0.02}, 1,
+                sys.argv[1], "csv")
+assert scipy_modules() == [], scipy_modules()
+
+upper_incomplete_gamma(0.5, 1.0)
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+def test_package_runs_without_scipy_until_special_functions(tmp_path):
+    package = os.path.dirname(nigdiff.__file__)
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+           "PYTHONPATH": os.path.dirname(package), "TMPDIR": str(tmp_path),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT,
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -188,8 +188,16 @@ def test_sample_k_batch_validation(rng):
                                          np.random.default_rng(1)),
                           sample_k_batch(5, params, 3,
                                          np.random.default_rng(1)))
-    with pytest.raises(DomainError):
-        sample_partition(0, GGParams.from_beta(1.0), rng)
+    for n in (0, -3, 10.0, 2.5, "10"):
+        with pytest.raises(DomainError):
+            sample_partition(n, params, rng)
+    for bad in ("beta=1", None, object()):
+        with pytest.raises(DomainError):
+            sample_partition(10, bad, rng)
+    assert (sample_partition(np.int64(12), params,
+                             np.random.default_rng(2)).block_sizes
+            == sample_partition(12, params,
+                                np.random.default_rng(2)).block_sizes)
 
 
 # ---------------------------------------------------------------------------
