@@ -8,14 +8,13 @@ from .errors import (DomainError, InternalConsistencyError,
 from .gibbs import (GGParams, PDParams, WeightPair, conditional_pair_probability,
                     conditional_phi2_mean, eppf, eppf_log, integer_partitions,
                     m1_factorial_moment, m1_pmf, shape_count,
-                    weights_gg_asymptotic, weights_gg_exact,
+                    weights_batch, weights_gg_asymptotic, weights_gg_exact,
                     weights_gg_quadrature, weights_pd)
 from .specfun import (alpha_diversity_density, exp_integral_ei,
                       gen_factorial_coeff, pochhammer, stable_half_density,
                       upper_incomplete_gamma)
 from .urn import (GemWeights, PartitionState, ordered_frequencies,
-                  predictive_weights, sample_gem, sample_k_batch,
-                  sample_partition, urn_step)
+                  sample_gem, sample_k_batch, sample_partition)
 from .diffusion import (ChainState, DiversityPath, FiniteDimState,
                         SimplexPoint, chain_increment_moments,
                         chain_transition_probs, finite_dim_step,

@@ -34,6 +34,11 @@ EXPERIMENTS = ("weights", "eppf-check", "m1-check", "chain", "sde",
                "generator-check")
 
 
+# experiments that read the generalized-gamma V or beta, as the chain's
+# asymptotic mode does
+_GG_ONLY = ("eppf-check", "m1-check", "sde", "boundary", "generator-check")
+
+
 class UsageError(Exception):
     pass
 
@@ -246,9 +251,6 @@ def _exp_generator_check(cfg, params, seed):
     h = float(cfg.get("h", 0.004))
     m = int(cfg.get("m", 2))
     events = int(n * n * h / 2.0)
-    if not isinstance(params, GGParams):
-        raise UsageError("generator-check needs generalized-gamma params "
-                         "(a, tau, alpha or beta)")
     if n < 2:
         raise UsageError(f"generator-check needs n >= 2, got {n}")
     if paths < 2:
@@ -333,6 +335,10 @@ def run(experiment: str, cfg: dict, seed: int, out_dir: str,
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
     params = _resolve_params(cfg)
+    if not isinstance(params, GGParams) and (experiment in _GG_ONLY or (
+            experiment, cfg.get("mode")) == ("chain", "asymptotic")):
+        raise UsageError(f"{experiment} needs generalized-gamma params "
+                         "(a, tau, alpha or beta)")
     os.makedirs(out_dir, exist_ok=True)
     tables = _RUNNERS[experiment](cfg, params, seed)
     writer = _write_csv if fmt == "csv" else _write_json

@@ -5,8 +5,10 @@ truncated Wright-Fisher-type diffusion, and generator actions on
 power-sum test functions.
 
 Chain paths come from one engine: ``simulate_chain_ensemble`` reads
-transition tables built once per call and advances R replicas with the
-compiled ``chain_run`` loop (``_kernels.c``, built by gcc on the first
+transition tables built once per call from one row of the batch weight
+evaluator (``gibbs.weights_batch``, or the large-n expansion in
+asymptotic mode) and advances R replicas with the compiled
+``chain_run`` loop (``_kernels.c``, built by gcc on the first
 call in a process).  It reads one uniform per replica-step, drawn by
 numpy in chunks of at most 2^16 and in the order of one
 ``rng.random(R)`` per step, and discards none.
@@ -25,9 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError, NumericalError
-from .gibbs import GGParams, weights_gg_asymptotic
+from .gibbs import GGParams, _asymptotic, weights_batch
 from .specfun import exp_integral_ei
-from .urn import predictive_weights
 
 SDE_FLOOR_GUARD = 1e-12
 
@@ -103,12 +104,33 @@ class SimplexPoint:
 # ---------------------------------------------------------------------------
 # Cluster-count chain
 
-def _chain_weights(n: int, k: int, params: GGParams, mode: str):
-    if mode == "exact":
-        return predictive_weights(n, k, params)
-    if mode == "asymptotic":
-        return weights_gg_asymptotic(n, k, params)
-    raise DomainError(f"unknown mode {mode!r}")
+_WEIGHTS = {"exact": weights_batch, "asymptotic": _asymptotic}
+
+
+def _up_down(n: int, lo: int, hi: int, params, mode: str):
+    """(p_up, p_down) arrays of the cluster-count chain on n items at
+    k = lo..hi, checked, from one weight row at n - 1:
+    p_up = (1 - alpha*k/n) g0(n-1, k) and
+    p_down = (alpha*k/n) g1(n-1, k-1) (n-1 - alpha*(k-1)),
+    with barriers at k = 1 and k = n (and 0 at k = 0)."""
+    if n < 2:
+        raise DomainError("chain requires n >= 2")
+    if mode not in _WEIGHTS:
+        raise DomainError(f"unknown mode {mode!r}")
+    j = np.arange(lo - 1, hi + 1)  # the row's k, 0 where it leaves [1, n-1]
+    inside = (j >= 1) & (j < n)
+    g0, g1 = np.zeros((2, j.size))
+    g0[inside], g1[inside] = _WEIGHTS[mode](n - 1, j[inside], params)
+    alpha, k = params.alpha, j[1:]
+    p_up = (1.0 - alpha * k / n) * g0[1:]
+    p_down = (alpha * k / n) * g1[:-1] * (n - 1 - alpha * (k - 1))
+    for p in (p_up, p_down, 1.0 - p_up - p_down):
+        bad = np.flatnonzero(~((0.0 <= p) & (p <= 1.0)))
+        if bad.size:
+            raise InternalConsistencyError(
+                f"transition probability {float(p[bad[0]])!r} outside "
+                f"[0, 1] at n={n}, k={k[bad[0]]}, mode={mode}")
+    return p_up, p_down
 
 
 def chain_transition_probs(state: ChainState, params: GGParams,
@@ -117,23 +139,9 @@ def chain_transition_probs(state: ChainState, params: GGParams,
     p_up = (1 - alpha*k/n) g0(n-1, k), and
     p_down = (alpha*k/n) g1(n-1, k-1) (n-1 - alpha*(k-1)),
     with barriers at k = 1 and k = n."""
-    n, k = state.n, state.k
-    alpha = params.alpha
-    p_up = 0.0
-    if k < n:
-        p_up = (1.0 - alpha * k / n) * _chain_weights(n - 1, k, params,
-                                                      mode).g0
-    p_down = 0.0
-    if k > 1:
-        g1 = _chain_weights(n - 1, k - 1, params, mode).g1
-        p_down = (alpha * k / n) * g1 * (n - 1 - alpha * (k - 1))
-    p_stay = 1.0 - p_up - p_down
-    for p in (p_up, p_down, p_stay):
-        if not 0.0 <= p <= 1.0:
-            raise InternalConsistencyError(
-                f"transition probability {p!r} outside [0, 1] at "
-                f"n={n}, k={k}, mode={mode}")
-    return p_up, p_down, p_stay
+    p_up, p_down = (float(p[0]) for p in _up_down(state.n, state.k,
+                                                    state.k, params, mode))
+    return p_up, p_down, 1.0 - p_up - p_down
 
 
 @dataclass(frozen=True)
@@ -166,12 +174,7 @@ def chain_increment_moments(state: ChainState, params: GGParams,
 
 def _transition_tables(n: int, params: GGParams, mode: str):
     """(p_up[k], p_down[k]) for k = 0..n (index 0 unused)."""
-    p_up = np.zeros(n + 1)
-    p_down = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        p_up[k], p_down[k], _ = chain_transition_probs(
-            ChainState(k=k, n=n), params, mode)
-    return p_up, p_down
+    return _up_down(n, 0, n, params, mode)
 
 
 def simulate_chain(n: int, steps: int, k0: int, params: GGParams,
@@ -227,8 +230,8 @@ def simulate_chain_ensemble(n: int, steps: int, k0: int, params: GGParams,
 # ---------------------------------------------------------------------------
 # The square-root diffusion
 
-def sde_step(s: float, dt: float, beta: float, rng: np.random.Generator,
-             floor_guard: float = SDE_FLOOR_GUARD) -> float:
+def sde_step(s: float, dt: float, beta: float,
+             rng: np.random.Generator) -> float:
     """One full-truncation Euler-Maruyama step of
     dS = (beta/S) dt + sqrt(S) dB; 0 is absorbing when beta = 0."""
     if dt <= 0:
@@ -237,7 +240,7 @@ def sde_step(s: float, dt: float, beta: float, rng: np.random.Generator,
         raise DomainError("beta must be >= 0")
     if beta == 0.0 and s <= 0.0:
         return 0.0
-    drift = beta / max(s, floor_guard)
+    drift = beta / max(s, SDE_FLOOR_GUARD)
     diffusion = math.sqrt(max(s, 0.0) * dt) * rng.standard_normal()
     return max(s + drift * dt + diffusion, 0.0)
 

@@ -24,10 +24,11 @@ Two routes are provided for the generalized-gamma predictive weights
 
 The same kernel backs ``log_v``, which scalar callers read, like
 ``weights_gg_quadrature``, from one table of n-rows per parameter set,
-and ``weights_gg_batch``, which evaluates arrays of states for the
-samplers.  The batch urn reads one kernel row per block of steps and
-fills in the rows below it by the positive recursion of the Gibbs
-triangle, V(n, k) = (n - alpha*k) V(n+1, k) + V(n+1, k+1).
+and ``weights_batch``, which evaluates arrays of states for every
+engine and alone dispatches on the parameter type.  The urns read one
+evaluator row per block of steps and fill in the rows below it by the
+positive recursion of the Gibbs triangle,
+V(n, k) = (n - alpha*k) V(n+1, k) + V(n+1, k+1).
 
 The partition laws (EPPF, singleton-count law and its factorial
 moments) are sums of positive terms V(n, k) times weighted partition
@@ -236,6 +237,7 @@ def _weights_stable(n: int, k: int, alpha: float) -> WeightPair:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _LOG_DROP = 40.0  # integrate where the log integrand is within 40 of its peak
+_KERNEL_PASS = 256  # most states per pass, to bound the (state, 2, 64) arrays
 
 
 def _log_integrand(u, k, c, params: GGParams):
@@ -279,6 +281,11 @@ def _log_v_w(n: np.ndarray, k: np.ndarray, params: GGParams):
     side of the mode gives V and, on the same nodes weighted by
     x/(tau+x), the numerator of w(n, k) = E[x/(tau+x)].
     """
+    if n.size > _KERNEL_PASS:  # in equal passes
+        passes = -(-n.size // _KERNEL_PASS)
+        parts = [_log_v_w(*pair, params) for pair in
+                 zip(np.array_split(n, passes), np.array_split(k, passes))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     a, tau, alpha = params.a, params.tau, params.alpha
     n, k = n[:, None, None], k[:, None, None]  # (state, side, node)
     c = n - alpha * k
@@ -320,8 +327,7 @@ _rows = {}  # params -> {n: (log V(n, k), w(n, k)) for k = 1..top}
 def _row(n: int, k: int, params: GGParams):
     """The kernel's n-row, k = 1..top with top >= k.  A row is built up
     to top = max(2k, 64), capped at n, and rebuilt when a larger k is
-    asked for, so it at least doubles each time: a walk that needs one
-    k per n, as the urn does, pays for O(k) states per n, not n."""
+    asked for, so it at least doubles each time."""
     rows = _rows.setdefault(params, {})
     row = rows.get(n)
     if row is None or k > len(row[0]):
@@ -360,38 +366,49 @@ def weights_gg_asymptotic(n: int, k: int, params: GGParams) -> WeightPair:
     g0 = alpha*k/n + (beta/s_n)/n, g1 = 1/n - (beta/s_n)/n^2,
     with s_n = k/n^alpha."""
     _check_nk(n, k)
+    g0, g1 = _asymptotic(n, k, params)
+    return WeightPair(g0=g0, g1=g1, condition_estimate=0.0)
+
+
+def _asymptotic(n, k, params: GGParams):
+    """``weights_gg_asymptotic``'s (g0, g1), unchecked, for arrays too."""
     alpha = params.alpha
     if alpha != 0.5:
         raise UnsupportedParameterError(
             "second-order weight expansion is derived for alpha = 1/2 only")
     s_n = k / n ** alpha
     correction = params.beta / s_n
-    return WeightPair(g0=alpha * k / n + correction / n,
-                      g1=1.0 / n - correction / n ** 2,
-                      condition_estimate=0.0)
+    return alpha * k / n + correction / n, 1.0 / n - correction / n ** 2
 
 
-def weights_gg_batch(n_arr: np.ndarray, k_arr: np.ndarray, params: GGParams):
-    """(g0, g1) arrays for arrays of states, unclipped: the kernel's
-    g1 = w/n and g0 = 1 - (1 - alpha*k/n) w, or the a = 0 closed form."""
-    n = np.asarray(n_arr, dtype=float)
-    k = np.asarray(k_arr, dtype=float)
+def weights_batch(n_arr, k_arr, params):
+    """(g0, g1) arrays for the states of two broadcast arrays, unclipped:
+    the closed form g0 = (theta + alpha*k)/(theta + n), g1 = 1/(theta + n)
+    for Poisson-Dirichlet params, in the operation order of
+    ``weights_pd``; for generalized-gamma params the kernel's g1 = w/n
+    and g0 = 1 - (1 - alpha*k/n) w, or the a = 0 closed form."""
+    n, k = np.broadcast_arrays(np.asarray(n_arr, dtype=float),
+                               np.asarray(k_arr, dtype=float))
     if np.any((k < 1) | (k > n)):
         raise DomainError("states must have 1 <= k <= n")
+    if isinstance(params, PDParams):
+        denom = params.theta + n
+        return (params.theta + params.alpha * k) / denom, 1.0 / denom
+    if not isinstance(params, GGParams):
+        raise DomainError(f"unsupported parameter type {type(params)!r}")
     if params.a == 0.0:
         return params.alpha * k / n, 1.0 / n
     w = _log_v_w(n, k, params)[1]
     return 1.0 - (1.0 - params.alpha * k / n) * w, w / n
 
 
-def _g0_rows(m0: int, m1: int, lo: int, hi: int,
-             params: GGParams) -> np.ndarray:
+def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     """g0(m, k) at rows[m - m0, k - lo] for m0 <= m <= m1 and
     lo <= k <= min(m, hi + m - m0), the states an urn at m0 with block
     counts in [lo, hi] can reach by step m1 (nan elsewhere), from one
-    kernel row and a downward recursion of positive terms.
+    evaluator row and a downward recursion of positive terms.
 
-    Row m1 is the kernel's g0, clipped to [0, 1], over
+    Row m1 is the evaluator's g0, clipped to [0, 1], over
     k = lo..min(m1, hi + m1 - m0).  The Gibbs triangle
     V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
     rho(m, k) = V(m, k+1)/V(m, k) and d(m, k) = V(m, k)/V(m+1, k),
@@ -400,11 +417,11 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int,
         rho(m, k) = rho(m+1, k) d(m, k+1) / d(m, k),
         g0(m, k) = rho(m+1, k) / d(m, k),
 
-    from rho(m1+1, k) = g0/g1 of the kernel row.  Each row needs one
+    from rho(m1+1, k) = g0/g1 of the evaluator row.  Each row needs one
     more k above it, so the rows narrow by one per step down.
     """
     k = np.arange(lo, min(m1, hi + m1 - m0) + 1.0)
-    g0, g1 = weights_gg_batch(np.full(k.shape, float(m1)), k, params)
+    g0, g1 = weights_batch(m1, k, params)
     g0 = np.clip(g0, 0.0, 1.0)
     rows = np.full((m1 - m0 + 1, k.size), np.nan)
     rows[-1] = g0

@@ -9,7 +9,10 @@ probability g1(n-1, k_r) * (n_j - alpha).  Copy moves are realized by
 rejection: pick a uniform surviving particle of type t, accept with
 probability (n_t - alpha)/n_t, which makes every event O(1) regardless
 of the number of types.  The conditioned variant takes g0 := [the
-removed particle was a singleton], so K never changes.
+removed particle was a singleton], so K never changes.  The free
+variant reads g0(n-1, k_r), k_r = 1..n-1, from one table built from one
+row of the batch weight evaluator (``gibbs.weights_batch``) and checked
+against the Gibbs constraint before any event runs.
 
 The dynamics run on one engine, compiled C (``_kernels.c``, built by
 gcc on the first call in a process) on flat int32 arrays of type slots
@@ -33,8 +36,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, PDParams, weights_gg_batch, weights_pd
-from .urn import PartitionState, predictive_weights, sample_partition
+from .gibbs import GGParams, weights_batch
+from .urn import PartitionState, sample_partition
 
 
 class ParticleSystem:
@@ -102,27 +105,13 @@ class ParticleSystem:
             raise InternalConsistencyError("sum of squares out of sync")
 
 
-_TABLE_BLOCK = 64  # kernel states per weight call, to bound its temporaries
-
-
 def _g0_table(n: int, params) -> np.ndarray:
-    """g0(n-1, k) for k = 1..n-1, each entry checked before any use:
-    the replacement probabilities g0 + g1 (n - 1 - alpha k) of a state
-    with k types left must sum to one."""
+    """g0(n-1, k) for k = 1..n-1 from one evaluator row, each entry
+    checked before any use: the replacement probabilities
+    g0 + g1 (n - 1 - alpha k) of a state with k types left sum to one."""
     m = n - 1
     k = np.arange(1, n)
-    if isinstance(params, PDParams):
-        pairs = [weights_pd(m, int(j), params) for j in k]
-        g0 = np.array([w.g0 for w in pairs])
-        g1 = np.array([w.g1 for w in pairs])
-    elif isinstance(params, GGParams):
-        blocks = [weights_gg_batch(np.full(part.size, m), part, params)
-                  for part in np.split(k, range(_TABLE_BLOCK, m,
-                                                _TABLE_BLOCK))]
-        g0 = np.concatenate([b[0] for b in blocks])
-        g1 = np.concatenate([b[1] for b in blocks])
-    else:
-        raise DomainError(f"unsupported parameter type {type(params)!r}")
+    g0, g1 = weights_batch(m, k, params)
     total = g0 + g1 * (m - params.alpha * k)
     bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-9))
     if bad.size:
@@ -270,12 +259,15 @@ def moran_phi2_drift(block_sizes, params) -> float:
     k = len(sizes)
     alpha = params.alpha
     counts = Counter(sizes)
+    # the types left after a removal: k, or k - 1 when a singleton went
+    k_left = sorted({k - 1 if c_j == 1 else k for c_j in counts})
+    g0s, g1s = weights_batch(n - 1, k_left, params)
+    weights = dict(zip(k_left, zip(g0s.tolist(), g1s.tolist())))
     total = 0.0
     for c_j, mult in counts.items():
-        k_r = k - 1 if c_j == 1 else k
-        w = predictive_weights(n - 1, k_r, params)
+        g0, g1 = weights[k - 1 if c_j == 1 else k]
         # removal takes sum_sq down by 2*c_j - 1; a fresh type adds 1
-        delta = -(2 * c_j - 1) + w.g0
+        delta = -(2 * c_j - 1) + g0
         # a copy of a surviving block of size c adds 2*c + 1
         copy = 0.0
         for c_t, m_t in counts.items():
@@ -283,7 +275,7 @@ def moran_phi2_drift(block_sizes, params) -> float:
             copy += m_surviving * (c_t - alpha) * (2 * c_t + 1)
         if c_j >= 2:
             copy += (c_j - 1 - alpha) * (2 * (c_j - 1) + 1)
-        delta += w.g1 * copy
+        delta += g1 * copy
         total += mult * (c_j / n) * delta
     # Delta phi_2 = Delta sum_sq / n^2, times the n^2/2 event rate
     return total / 2.0

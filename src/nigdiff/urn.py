@@ -3,12 +3,12 @@ stick-breaking, plus partition statistics.
 
 The urn grows one observation at a time: a new type appears with
 probability g0(n, k), and an existing type of current size n_j is
-reinforced with probability g1(n, k) * (n_j - alpha).
+reinforced with probability g1(n, k) * (n_j - alpha).  Both urn
+samplers read g0 one block of steps at a time from ``gibbs._g0_rows``.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,32 +19,31 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import (GGParams, PDParams, WeightPair, _g0_rows,
-                    weights_gg_quadrature, weights_pd)
+from .gibbs import GGParams, PDParams, _g0_rows
 
-_STEP_BLOCK = 64  # urn steps per kernel row in sample_k_batch
+_STEP_BLOCK = 64  # urn steps per evaluator row
+# sample_partition's blocks, each over a band of _STEP_BLOCK block counts
+# at its start: urns on other seeds, and the many small urns of the CLI's
+# eppf-check, reuse the few bands they reach
+_partition_rows = lru_cache(maxsize=64)(_g0_rows)
 
 
 @dataclass
 class PartitionState:
     """An exchangeable partition of n items into K blocks.
 
-    Blocks carry stable integer ids so particle-level views can refer to
-    them across steps; ids of new blocks strictly increase.
+    Blocks carry integer ids so particle-level views can refer to them;
+    by default block j has id j.
     """
 
     block_sizes: list = field(default_factory=lambda: [1])
     block_ids: list = None
-    next_block_id: int = None
 
     def __post_init__(self):
         if not self.block_sizes or any(s < 1 for s in self.block_sizes):
             raise DomainError("block sizes must be positive")
         if self.block_ids is None:
             self.block_ids = list(range(len(self.block_sizes)))
-        if self.next_block_id is None:
-            self.next_block_id = (max(self.block_ids) + 1
-                                  if self.block_ids else 0)
 
     @property
     def n(self) -> int:
@@ -86,58 +85,39 @@ class GemWeights:
     residual: float
 
 
-@lru_cache(maxsize=500_000)
-def predictive_weights(n: int, k: int, params) -> WeightPair:
-    """Predictive weights for the parameter type, memoized per state so
-    that event loops get the stored pair back: the closed form for
-    Poisson-Dirichlet, the quadrature kernel for generalized gamma."""
-    if isinstance(params, PDParams):
-        return weights_pd(n, k, params)
-    if isinstance(params, GGParams):
-        return weights_gg_quadrature(n, k, params)
-    raise DomainError(f"unsupported parameter type {type(params)!r}")
-
-
-def urn_step(state: PartitionState, weights: WeightPair, alpha: float,
-             rng: np.random.Generator) -> PartitionState:
-    """One predictive draw: append a new block with probability g0,
-    otherwise increment block j with probability g1 * (n_j - alpha).
-    Mutates and returns ``state``."""
-    n, k = state.n, state.K
-    total = weights.g0 + weights.g1 * (n - alpha * k)
-    if abs(total - 1.0) > 1e-9:
-        raise InternalConsistencyError(
-            f"urn probabilities sum to {total!r} at n={n}, k={k}")
-    u = rng.random() * total
-    if u < weights.g0:
-        state.block_sizes.append(1)
-        state.block_ids.append(state.next_block_id)
-        state.next_block_id += 1
-        return state
-    acc = weights.g0
-    for j, size in enumerate(state.block_sizes):
-        acc += weights.g1 * (size - alpha)
-        if u < acc:
-            state.block_sizes[j] = size + 1
-            return state
-    # only reachable through roundoff at the very top of the scale
-    state.block_sizes[-1] += 1
-    return state
-
-
 def sample_partition(n: int, params, rng: np.random.Generator
                      ) -> PartitionState:
-    """Draw an n-item partition by iterating the urn from one item."""
+    """Draw an n-item partition by iterating the urn from one item, one
+    uniform u per step as in ``sample_k_batch``: a step at (m, K) opens
+    a new block when u < g0(m, K), and otherwise joins block j with
+    probability (n_j - alpha)/(m - alpha K), which is
+    g1 (n_j - alpha)/(1 - g0) by the Gibbs constraint."""
     if not isinstance(params, (GGParams, PDParams)):
         raise DomainError(f"sample_partition needs GGParams or PDParams, "
                           f"not {type(params).__name__}")
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     alpha = params.alpha
-    state = PartitionState(block_sizes=[1])
-    for m in range(1, n):
-        urn_step(state, predictive_weights(m, state.K, params), alpha, rng)
-    return state
+    sizes = [1]
+    for m0 in range(1, n, _STEP_BLOCK):
+        m1 = min(n - 1, m0 + _STEP_BLOCK - 1)
+        lo = len(sizes) - (len(sizes) - 1) % _STEP_BLOCK
+        rows = _partition_rows(m0, m1, lo, lo + _STEP_BLOCK - 1, params)
+        for i, u in enumerate(rng.random(m1 - m0 + 1).tolist()):
+            k = len(sizes)
+            g0 = rows.item(i, k - lo)
+            if u < g0:
+                sizes.append(1)
+                continue
+            x = (u - g0) / (1.0 - g0) * (m0 + i - alpha * k)
+            for j, size in enumerate(sizes):
+                x -= size - alpha
+                if x < 0.0:
+                    sizes[j] = size + 1
+                    break
+            else:  # only reachable through roundoff at the top of the scale
+                sizes[-1] += 1
+    return PartitionState(block_sizes=sizes)
 
 
 def sample_k_batch(n: int, params: GGParams, replicates: int,
@@ -145,7 +125,7 @@ def sample_k_batch(n: int, params: GGParams, replicates: int,
     """Number of blocks K_n in ``replicates`` independent urn runs,
     grown jointly, one uniform per replicate and step.  The steps run in
     blocks of _STEP_BLOCK: each block reads g0 for every state its runs
-    can reach from one kernel row at its last step and the positive
+    can reach from one evaluator row at its last step and the positive
     Gibbs-triangle recursion below it (``gibbs._g0_rows``)."""
     if not isinstance(params, GGParams):
         raise DomainError(f"sample_k_batch needs GGParams, not "

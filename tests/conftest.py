@@ -1,8 +1,8 @@
 """Shared test helpers: set-partition enumeration, the
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
 the direct alternating sum used as the reference for the exact route,
-pure-Python references for the two compiled event loops, and the
-step-by-step batch urn."""
+pure-Python references for the two compiled event loops, the
+step-by-step batch urn, and the per-state chain transition tables."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,9 @@ import pytest
 from scipy import integrate
 
 from nigdiff.errors import NumericalError
-from nigdiff.gibbs import GGParams, _check_nk, weights_gg_batch
+from nigdiff.gibbs import (GGParams, PDParams, _check_nk, weights_batch,
+                           weights_gg_asymptotic, weights_gg_quadrature,
+                           weights_pd)
 
 
 def set_partitions(items):
@@ -296,10 +298,33 @@ def stepwise_k_batch(n, params, replicates, rng):
     k = np.ones(replicates, dtype=np.int64)
     for m in range(1, n):
         uk = np.unique(k)
-        g0 = np.clip(weights_gg_batch(np.full(uk.shape, float(m)),
-                                      uk.astype(float), params)[0], 0.0, 1.0)
+        g0 = np.clip(weights_batch(np.full(uk.shape, float(m)),
+                                   uk.astype(float), params)[0], 0.0, 1.0)
         k += rng.random(replicates) < g0[np.searchsorted(uk, k)]
     return k
+
+
+def stepwise_transition_tables(n, params, mode):
+    """(p_up[k], p_down[k]) for k = 0..n of the cluster-count chain, one
+    scalar weight call per state: p_up = (1 - alpha k/n) g0(n-1, k) and
+    p_down = (alpha k/n) g1(n-1, k-1) (n-1 - alpha (k-1)), with barriers
+    at k = 1 and k = n."""
+    if isinstance(params, PDParams):
+        weights = weights_pd
+    elif mode == "exact":
+        weights = weights_gg_quadrature
+    else:
+        weights = weights_gg_asymptotic
+    alpha = params.alpha
+    p_up = np.zeros(n + 1)
+    p_down = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        if k < n:
+            p_up[k] = (1.0 - alpha * k / n) * weights(n - 1, k, params).g0
+        if k > 1:
+            p_down[k] = ((alpha * k / n) * weights(n - 1, k - 1, params).g1
+                         * (n - 1 - alpha * (k - 1)))
+    return p_up, p_down
 
 
 @pytest.fixture

@@ -137,6 +137,21 @@ def test_generator_check_bad_config_exits_2(tmp_path, capsys, cfg):
     assert not (tmp_path / "o" / "generator.csv").exists()
 
 
+@pytest.mark.parametrize("experiment, cfg", [
+    ("eppf-check", {}), ("m1-check", {}), ("sde", {}), ("boundary", {}),
+    ("chain", {"mode": "asymptotic"}),
+])
+def test_gg_only_experiments_refuse_pd_params(tmp_path, capsys, experiment,
+                                              cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg,
+                                "params": {"theta": 1.5, "alpha": 0.3}}))
+    assert main([experiment, "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert experiment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_generator_check_is_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 40, "paths": 200, "h": 0.01}))

@@ -9,7 +9,8 @@ import pytest
 from scipy import integrate
 
 from nigdiff.diffusion import (ChainState, DiversityPath, FiniteDimState,
-                               SimplexPoint, chain_increment_moments,
+                               SimplexPoint, _transition_tables,
+                               chain_increment_moments,
                                chain_transition_probs, default_eps,
                                finite_dim_covariance, finite_dim_drift,
                                finite_dim_step, generator_action_power_sum,
@@ -19,7 +20,9 @@ from nigdiff.diffusion import (ChainState, DiversityPath, FiniteDimState,
                                stationary_density_candidate,
                                stationary_tail_partial_integral)
 from nigdiff.errors import DomainError, NumericalError
-from nigdiff.gibbs import GGParams
+from nigdiff.gibbs import GGParams, PDParams
+
+from conftest import stepwise_transition_tables
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,28 @@ def test_chain_barriers():
     assert up + down + stay == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(DomainError):
         chain_transition_probs(ChainState(k=7, n=30), params, mode="bogus")
+
+
+EXACT_NS = (2, 3, 64, 65, 200, 1000)
+
+
+@pytest.mark.parametrize("params, mode, ns", [
+    (GGParams.from_beta(0.0), "exact", EXACT_NS),
+    (GGParams.from_beta(2.0), "exact", EXACT_NS),
+    (GGParams.from_beta(1000.0), "exact", EXACT_NS),
+    (GGParams.from_beta(2.0, alpha=0.3), "exact", EXACT_NS),
+    (PDParams(theta=1.5, alpha=0.3), "exact", EXACT_NS),
+    # the expansion leaves [0, 1] at small n
+    (GGParams.from_beta(2.0), "asymptotic", (64, 65, 200, 1000)),
+], ids=["beta0", "beta2", "beta1000", "alpha0.3", "pd", "asymptotic"])
+def test_transition_tables_equal_per_state_reference(params, mode, ns):
+    for n in ns:
+        got = _transition_tables(n, params, mode)
+        want = stepwise_transition_tables(n, params, mode)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), n
+    # the scalar reader takes the same evaluator on its two states
+    assert chain_transition_probs(ChainState(k=7, n=1000), params,
+                                  mode)[:2] == (want[0][7], want[1][7])
 
 
 def test_chain_modes_agree_at_large_n():

@@ -16,10 +16,9 @@ from nigdiff.errors import (DomainError, PrecisionLossError,
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
                            conditional_phi2_mean, eppf, eppf_log,
                            integer_partitions, log_v, m1_factorial_moment,
-                           m1_pmf, shape_count, weights_gg_asymptotic,
-                           weights_gg_batch,
-                           weights_gg_exact, weights_gg_quadrature,
-                           weights_pd)
+                           m1_pmf, shape_count, weights_batch,
+                           weights_gg_asymptotic, weights_gg_exact,
+                           weights_gg_quadrature, weights_pd)
 from nigdiff.specfun import pochhammer
 from nigdiff.urn import sample_partition
 
@@ -225,9 +224,28 @@ def test_batch_weights_read_only_w(beta):
     n = np.array([1.0, 2.0, 50.0, 50.0, 200.0, 5000.0])
     k = np.array([1.0, 1.0, 7.0, 50.0, 14.0, 141.0])
     w = gibbs._log_v_w(n, k, params)[1]
-    g0, g1 = weights_gg_batch(n, k, params)
+    g0, g1 = weights_batch(n, k, params)
     assert np.array_equal(g0, 1.0 - (1.0 - params.alpha * k / n) * w)
     assert np.array_equal(g1, w / n)
+
+
+def test_weights_batch_dispatch():
+    # the Poisson-Dirichlet closed form to the bit, the kernel against
+    # the exact route, and a refusal of anything else
+    pd = PDParams(theta=1.0, alpha=0.5)
+    n = np.array([1.0, 8.0, 8.0, 300.0])
+    k = np.array([1.0, 3.0, 8.0, 17.0])
+    g0, g1 = weights_batch(n, k, pd)
+    for i in range(n.size):
+        scalar = weights_pd(int(n[i]), int(k[i]), pd)
+        assert (g0[i], g1[i]) == (scalar.g0, scalar.g1)
+    params = gg(2.0)
+    g0, g1 = weights_batch(np.array([20.0]), np.array([7.0]), params)
+    exact = weights_gg_exact(20, 7, params)
+    assert g0[0] == pytest.approx(exact.g0, rel=1e-12)
+    assert g1[0] == pytest.approx(exact.g1, rel=1e-12)
+    with pytest.raises(DomainError):
+        weights_batch(np.array([5.0]), np.array([2.0]), "not params")
 
 
 def test_batch_matches_scalar_rows():
@@ -238,13 +256,13 @@ def test_batch_matches_scalar_rows():
               (5000, 141)]
     n = np.array([s[0] for s in states], dtype=float)
     k = np.array([s[1] for s in states], dtype=float)
-    g0, g1 = weights_gg_batch(n, k, params)
+    g0, g1 = weights_batch(n, k, params)
     for i, (nn, kk) in enumerate(states):
         scalar = weights_gg_quadrature(nn, kk, params)
         assert g0[i] == pytest.approx(scalar.g0, rel=1e-12)
         assert g1[i] == pytest.approx(scalar.g1, rel=1e-12)
     with pytest.raises(DomainError):
-        weights_gg_batch(np.array([3.0]), np.array([4.0]), params)
+        weights_batch(np.array([3.0]), np.array([4.0]), params)
 
 
 def test_g0_batch_matches_quadrature():
@@ -256,7 +274,7 @@ def test_g0_batch_matches_quadrature():
     k = np.array([s[1] for s in states], dtype=float)
     for beta in BETAS:
         params = gg(beta)
-        batch = weights_gg_batch(n, k, params)[0]
+        batch = weights_batch(n, k, params)[0]
         for i, (nn, kk) in enumerate(states):
             oracle = math.exp(adaptive_log_v(nn + 1, kk + 1, params)
                               - adaptive_log_v(nn, kk, params))
@@ -272,15 +290,17 @@ def _assert_rows_match_kernel(m0, m1, lo, hi, params):
     reach = k <= np.minimum(m, hi + m - m0)
     assert np.array_equal(~np.isnan(rows), reach)
     m, k = np.broadcast_arrays(m, k)
-    g0 = weights_gg_batch(m[reach].astype(float), k[reach].astype(float),
-                          params)[0]
+    g0 = weights_batch(m[reach].astype(float), k[reach].astype(float),
+                       params)[0]
     assert np.max(np.abs(rows[reach] / g0 - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("params", [gg(0.5), gg(2.0), gg(10.0),
                                     GGParams(a=0.0),
-                                    GGParams.from_beta(2.0, alpha=0.3)],
-                         ids=["beta0.5", "beta2", "beta10", "a0", "alpha0.3"])
+                                    GGParams.from_beta(2.0, alpha=0.3),
+                                    PDParams(theta=1.5, alpha=0.3)],
+                         ids=["beta0.5", "beta2", "beta10", "a0", "alpha0.3",
+                              "pd"])
 def test_g0_rows_recursion_matches_kernel_triangle(params):
     # 399 rows down from one kernel row at m = 400 cover the whole
     # triangle 1 <= k <= m <= 400

@@ -9,12 +9,13 @@ import pytest
 from nigdiff import particle
 from nigdiff.diffusion import SimplexPoint, generator_action_power_sum
 from nigdiff.errors import DomainError, InternalConsistencyError
-from nigdiff.gibbs import GGParams, PDParams, conditional_phi2_mean
+from nigdiff.gibbs import (GGParams, PDParams, conditional_phi2_mean,
+                           weights_batch)
 from nigdiff.particle import (ParticleSystem, UniformStream, balanced_sizes,
                               conditioned_phi2_average, moran_ensemble,
                               moran_phi2_drift, particle_run,
                               simulate_rescaled)
-from nigdiff.urn import PartitionState, predictive_weights, sample_partition
+from nigdiff.urn import PartitionState, sample_partition
 
 from conftest import python_particle_run
 
@@ -105,9 +106,9 @@ def test_moran_ensemble_validation(rng, monkeypatch):
     with pytest.raises(DomainError):
         moran_ensemble(np.array([[0, 1.7, 2]]), 5, params, rng)
     # a weight table whose entries do not sum to one is refused up front
-    monkeypatch.setattr(particle, "weights_gg_batch",
+    monkeypatch.setattr(particle, "weights_batch",
                         lambda n, k, p: (np.full(k.shape, 0.5),
-                                         np.full(k.shape, 1.0 / n[0])))
+                                         np.full(k.shape, 1.0 / n)))
     with pytest.raises(InternalConsistencyError):
         moran_ensemble(np.zeros((2, 3), dtype=int), 0, params, rng)
 
@@ -143,7 +144,7 @@ def _exchangeable_phi2(n, params):
     # exact pair probability is P(two same) = (1 - alpha) g1(1, 1)
     # (two draws: the second joins the first with that probability),
     # hence E[phi_2] = ((n - 1) P + 1) / n
-    p_same = (1.0 - params.alpha) * predictive_weights(1, 1, params).g1
+    p_same = (1.0 - params.alpha) * weights_batch([1], [1], params)[1][0]
     return ((n - 1) * p_same + 1.0) / n
 
 

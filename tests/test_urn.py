@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nigdiff import gibbs
 from nigdiff.errors import (DomainError, InternalConsistencyError)
-from nigdiff.gibbs import (GGParams, PDParams, WeightPair, eppf,
-                           integer_partitions, log_v, shape_count,
-                           weights_gg_exact, weights_gg_quadrature,
-                           weights_pd)
+from nigdiff.gibbs import (GGParams, PDParams, eppf, integer_partitions,
+                           log_v, shape_count)
 from nigdiff.specfun import gen_factorial_coeff, gen_factorial_coeff_log_table
 from nigdiff.urn import (GemWeights, PartitionState, ordered_frequencies,
-                         predictive_weights, sample_gem, sample_k_batch,
-                         sample_partition, urn_step)
+                         sample_gem, sample_k_batch, sample_partition)
 
 from conftest import stepwise_k_batch
 
@@ -28,7 +26,6 @@ def test_partition_state_defaults_and_ids():
     assert s.n == 6
     assert s.K == 3
     assert s.block_ids == [0, 1, 2]
-    assert s.next_block_id == 3
     assert s.shape() == (3, 2, 1)
     assert s.multiplicity_profile == {3: 1, 1: 1, 2: 1}
     s.validate()
@@ -50,40 +47,6 @@ def test_partition_state_validate_catches_corruption():
     s.block_sizes[0] = -1
     with pytest.raises(InternalConsistencyError):
         s.validate()
-
-
-# ---------------------------------------------------------------------------
-# Weight dispatch
-
-def test_predictive_weights_dispatch():
-    pd = PDParams(theta=1.0, alpha=0.5)
-    assert predictive_weights(8, 3, pd) == weights_pd(8, 3, pd)
-    gg = GGParams.from_beta(2.0)
-    w_small = predictive_weights(20, 7, gg)
-    w_exact = weights_gg_exact(20, 7, gg)
-    assert w_small.g0 == pytest.approx(w_exact.g0, rel=1e-12)
-    w_large = predictive_weights(150, 24, gg)
-    w_quad = weights_gg_quadrature(150, 24, gg)
-    assert w_large.g0 == pytest.approx(w_quad.g0, rel=1e-12)
-    with pytest.raises(DomainError):
-        predictive_weights(5, 2, "not params")
-
-
-def test_urn_step_new_block_gets_fresh_id():
-    state = PartitionState(block_sizes=[4])
-    # force a new block: g0 = 1
-    urn_step(state, WeightPair(g0=1.0, g1=0.0), 0.5,
-             np.random.default_rng(0))
-    assert state.block_sizes == [4, 1]
-    assert state.block_ids == [0, 1]
-    assert state.next_block_id == 2
-
-
-def test_urn_step_rejects_inconsistent_weights():
-    state = PartitionState(block_sizes=[2, 1])
-    with pytest.raises(InternalConsistencyError):
-        urn_step(state, WeightPair(g0=0.9, g1=0.9), 0.5,
-                 np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +123,38 @@ def test_sample_k_batch_equals_stepwise_reference(params):
         got = sample_k_batch(n, params, reps, np.random.default_rng(i))
         want = stepwise_k_batch(n, params, reps, np.random.default_rng(i))
         assert np.array_equal(got, want), (n, reps)
+
+
+@pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
+                                    GGParams.from_beta(0.5, alpha=0.3),
+                                    GGParams(a=0.0)],
+                         ids=["nig", "alpha0.3", "a0"])
+def test_sample_partition_block_count_equals_sample_k_batch(params):
+    # both urns read the same g0 rows and one uniform per step, so one
+    # replicate of the batch urn is the scalar urn's block count
+    for n in (1, 2, 64, 65, 200, 700):
+        for seed in range(4):
+            state = sample_partition(n, params, np.random.default_rng(seed))
+            assert state.n == n
+            assert state.K == sample_k_batch(
+                n, params, 1, np.random.default_rng(seed))[0], (n, seed)
+
+
+def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
+    # 299 steps are 5 blocks of at most 64, one evaluator row each, over
+    # a band of 64 block counts and the 63 above it
+    calls = []
+
+    def counting(n, k, params):
+        calls.append(n.size)
+        return log_v_w(n, k, params)
+
+    log_v_w = gibbs._log_v_w
+    monkeypatch.setattr(gibbs, "_log_v_w", counting)
+    params = GGParams.from_beta(2.718281828)  # no other test reads it
+    sample_partition(300, params, np.random.default_rng(0))
+    assert 1 <= len(calls) <= 5
+    assert max(calls) < 2 * 64
 
 
 def test_sample_k_batch_agrees_with_scalar_urn(rng):
