@@ -3,10 +3,16 @@
 Usage: nigdiff <experiment> [--config file.json] [--seed N] [--out dir]
                             [--format csv|json]
 
-Every run writes the requested data files plus ``manifest.json``
-recording the schema version, the fully resolved configuration, the
-package version, the seed, and a SHA-256 checksum of every emitted
-file.  A given (config, seed) pair produces byte-identical outputs.
+``EXPERIMENT_TABLE`` declares each experiment's runner, the params it
+reads and its config keys with their defaults.  Besides those keys a
+config may carry ``schema_version``, ``experiment``, ``seed`` and
+``format``; any other key, or params keys outside (theta, alpha), (beta,
+tau, alpha) and (a, tau, alpha), exit 2 before any file is written.
+Every run writes its data files plus ``manifest.json``: schema and
+package versions, seed, SHA-256 of every file and the resolved config,
+every declared key at the value used and the params with their defaults
+filled in.  That config, given back with the same seed, reproduces every
+data file byte for byte.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -29,14 +35,6 @@ from .gibbs import (GGParams, PDParams, eppf, integer_partitions, m1_pmf,
                     weights_gg_quadrature, weights_pd)
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = ("weights", "eppf-check", "m1-check", "chain", "sde",
-               "figure1", "particles", "conditioned", "boundary",
-               "generator-check")
-
-
-# experiments that read the generalized-gamma V or beta, as the chain's
-# asymptotic mode does
-_GG_ONLY = ("eppf-check", "m1-check", "sde", "boundary", "generator-check")
 
 
 class UsageError(Exception):
@@ -46,25 +44,22 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # Config handling
 
-def _resolve_params(cfg: dict):
-    raw = cfg.get("params", {"a": 1.0, "tau": 1.0, "alpha": 0.5})
-    if "theta" in raw:
-        return PDParams(theta=float(raw["theta"]),
-                        alpha=float(raw.get("alpha", 0.0)))
-    if "beta" in raw:
-        return GGParams.from_beta(float(raw["beta"]),
-                                  tau=float(raw.get("tau", 1.0)),
-                                  alpha=float(raw.get("alpha", 0.5)))
-    return GGParams(a=float(raw.get("a", 1.0)),
-                    tau=float(raw.get("tau", 1.0)),
-                    alpha=float(raw.get("alpha", 0.5)))
-
-
-def _params_dict(params) -> dict:
-    if isinstance(params, PDParams):
-        return {"theta": params.theta, "alpha": params.alpha}
-    return {"a": params.a, "tau": params.tau, "alpha": params.alpha,
-            "beta": params.beta}
+def _resolve_params(raw):
+    """The params object and its manifest form: the given keys, as
+    floats, over the defaults of the form that theta or beta picks."""
+    if not isinstance(raw, dict):
+        raise UsageError("params must be a JSON object")
+    make, defaults = (
+        (PDParams, {"alpha": 0.0}) if "theta" in raw else
+        (GGParams.from_beta, {"tau": 1.0, "alpha": 0.5}) if "beta" in raw
+        else (GGParams, {"a": 1.0, "tau": 1.0, "alpha": 0.5}))
+    try:
+        resolved = {**defaults, **{k: float(v) for k, v in raw.items()}}
+        return make(**resolved), resolved
+    except TypeError:
+        raise UsageError(f"params keys {sorted(raw)} are not one of (theta, "
+                         "alpha), (beta, tau, alpha) or (a, tau, alpha)"
+                         ) from None
 
 
 def _rng(seed: int, replicate: int = 0) -> np.random.Generator:
@@ -72,7 +67,14 @@ def _rng(seed: int, replicate: int = 0) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Experiments: each returns {filename_stem: (header, rows)}
+# Experiments: each takes the resolved config, returns
+# {filename_stem: (header, rows)}
+
+def _path_table(path, record_every=1):
+    rows = [[i * record_every, t, v]
+            for i, (t, v) in enumerate(zip(path.times, path.values))]
+    return ["step", "time_rescaled", "value"], rows
+
 
 def _exp_weights(cfg, params, seed):
     if isinstance(params, PDParams):
@@ -83,10 +85,9 @@ def _exp_weights(cfg, params, seed):
             "quadrature": lambda n, k: weights_gg_quadrature(n, k, params),
             "asymptotic": lambda n, k: weights_gg_asymptotic(n, k, params),
         }
-    ns = cfg.get("ns", [5, 10, 20, 50])
     rows = []
-    for n in ns:
-        ks = cfg.get("ks") or sorted({1, max(1, int(math.isqrt(n))), n})
+    for n in cfg["ns"]:
+        ks = cfg["ks"] or sorted({1, max(1, int(math.isqrt(n))), n})
         for k in ks:
             for route, fn in routes.items():
                 try:
@@ -103,8 +104,7 @@ def _exp_weights(cfg, params, seed):
 
 
 def _exp_eppf_check(cfg, params, seed):
-    n = int(cfg.get("n", 6))
-    replicates = int(cfg.get("replicates", 100_000))
+    n, replicates = cfg["n"], cfg["replicates"]
     if n > 12:
         raise UsageError("eppf-check supports n <= 12")
     rng = _rng(seed)
@@ -127,8 +127,7 @@ def _exp_eppf_check(cfg, params, seed):
 
 
 def _exp_m1_check(cfg, params, seed):
-    n = int(cfg.get("n", 10))
-    replicates = int(cfg.get("replicates", 100_000))
+    n, replicates = cfg["n"], cfg["replicates"]
     rng = _rng(seed)
     counts = np.zeros(n + 1)
     for _ in range(replicates):
@@ -142,57 +141,42 @@ def _exp_m1_check(cfg, params, seed):
 
 
 def _exp_chain(cfg, params, seed):
-    n = int(cfg.get("n", 200))
-    steps = int(cfg.get("steps", 10_000))
-    k0 = int(cfg.get("k0", max(1, round(math.sqrt(n)))))
-    mode = cfg.get("mode", "exact")
-    record_every = int(cfg.get("record_every", 1))
-    path = diffusion.simulate_chain(n, steps, k0, params, _rng(seed),
-                                    mode=mode, record_every=record_every)
-    rows = [[i * record_every, t, v]
-            for i, (t, v) in enumerate(zip(path.times, path.values))]
-    return {"chain": (["step", "time_rescaled", "value"], rows)}
+    if cfg["mode"] == "asymptotic" and not isinstance(params, GGParams):
+        raise UsageError("chain in asymptotic mode needs generalized-gamma "
+                         "params (a, tau, alpha or beta)")
+    if cfg["k0"] is None:  # start at s = 1
+        cfg["k0"] = max(1, round(math.sqrt(cfg["n"])))
+    path = diffusion.simulate_chain(cfg["n"], cfg["steps"], int(cfg["k0"]),
+                                    params, _rng(seed), mode=cfg["mode"],
+                                    record_every=cfg["record_every"])
+    return {"chain": _path_table(path, cfg["record_every"])}
 
 
 def _exp_sde(cfg, params, seed):
-    s0 = float(cfg.get("s0", 1.0))
-    dt = float(cfg.get("dt", 1e-3))
-    steps = int(cfg.get("steps", 10_000))
-    path = diffusion.simulate_sde(s0, params.beta, dt, steps, _rng(seed))
-    rows = [[i, t, v] for i, (t, v)
-            in enumerate(zip(path.times, path.values))]
-    return {"sde": (["step", "time_rescaled", "value"], rows)}
+    path = diffusion.simulate_sde(cfg["s0"], params.beta, cfg["dt"],
+                                  cfg["steps"], _rng(seed))
+    return {"sde": _path_table(path)}
 
 
 def _exp_figure1(cfg, params, seed):
-    n = int(cfg.get("n", 200))
-    steps = int(cfg.get("steps", 300_000))
-    k0 = int(cfg.get("k0", 1))  # start at 1/sqrt(n) in rescaled units
-    betas = cfg.get("betas", [0.0, 100.0, 1000.0])
-    record_every = int(cfg.get("record_every", 100))
     out = {}
-    for beta in sorted(float(b) for b in betas):
-        path = diffusion.simulate_chain(n, steps, k0, GGParams.from_beta(beta),
-                                        _rng(seed, int(beta)), mode="exact",
-                                        record_every=record_every)
-        rows = [[i * record_every, t, v]
-                for i, (t, v) in enumerate(zip(path.times, path.values))]
-        out[f"figure1_beta{beta:g}"] = (["step", "time_rescaled", "value"],
-                                        rows)
+    for beta in sorted(float(b) for b in cfg["betas"]):
+        path = diffusion.simulate_chain(
+            cfg["n"], cfg["steps"], cfg["k0"], GGParams.from_beta(beta),
+            _rng(seed, int(beta)), mode="exact",
+            record_every=cfg["record_every"])
+        out[f"figure1_beta{beta:g}"] = _path_table(path, cfg["record_every"])
     return out
 
 
 def _exp_particles(cfg, params, seed):
-    n = int(cfg.get("n", 100))
-    t_max = float(cfg.get("t_max", 0.05))
-    grid_len = int(cfg.get("grid_points", 11))
-    top = int(cfg.get("top", 50))
-    embedding = cfg.get("embedding", "discrete")
+    n, t_max, grid_len, top = (cfg[key] for key in
+                               ("n", "t_max", "grid_points", "top"))
     rng = _rng(seed)
     sys0 = particle.ParticleSystem.initialize(n, params, rng)
     grid = [i * t_max / (grid_len - 1) for i in range(grid_len)]
     path = particle.simulate_rescaled(sys0, grid, params, rng, top=top,
-                                      embedding=embedding)
+                                      embedding=cfg["embedding"])
     rows = []
     for t, kv, freqs, phi2 in zip(path.grid, path.k_rescaled,
                                   path.frequencies, path.phi2):
@@ -204,17 +188,17 @@ def _exp_particles(cfg, params, seed):
 
 
 def _exp_conditioned(cfg, params, seed):
-    n = int(cfg.get("n", 500))
-    s_values = cfg.get("s_values", [1.0, 2.0, 3.0])
-    steps = int(cfg.get("steps", 400_000))
-    burn_in = int(cfg.get("burn_in", steps // 10))
+    n = cfg["n"]
+    if cfg["burn_in"] is None:
+        cfg["burn_in"] = cfg["steps"] // 10
     rows = []
-    for rep, s in enumerate(s_values):
+    for rep, s in enumerate(cfg["s_values"]):
         rng = _rng(seed, rep)
         k = max(1, min(n, round(float(s) * math.sqrt(n))))
         sizes = particle.balanced_sizes(n, k)
-        avg = particle.conditioned_phi2_average(sizes, steps, params.alpha,
-                                                rng, burn_in=burn_in)
+        avg = particle.conditioned_phi2_average(
+            sizes, cfg["steps"], params.alpha, rng,
+            burn_in=int(cfg["burn_in"]))
         theta = float(s) ** 2 / 4.0
         oracle = (1.0 - params.alpha) / (theta + 1.0)
         exact = gibbs.conditional_phi2_mean(n, k, params.alpha)
@@ -228,9 +212,10 @@ def _exp_boundary(cfg, params, seed):
     beta = params.beta
     if beta <= 0:
         raise UsageError("boundary experiment requires beta > 0")
-    xs = cfg.get("x_grid") or list(np.geomspace(0.1, 50.0, 20))
+    if not cfg["x_grid"]:
+        cfg["x_grid"] = np.geomspace(0.1, 50.0, 20).tolist()
     rows = [[float(x), diffusion.scale_function(float(x), beta)]
-            for x in xs]
+            for x in cfg["x_grid"]]
     speed_rows = []
     for c in (1e-2, 1e-4, 1e-6):
         speed_rows.append([c, 1.0, diffusion.speed_measure(c, 1.0, beta)])
@@ -246,10 +231,7 @@ def _exp_boundary(cfg, params, seed):
 
 
 def _exp_generator_check(cfg, params, seed):
-    n = int(cfg.get("n", 300))
-    paths = int(cfg.get("paths", 10_000))
-    h = float(cfg.get("h", 0.004))
-    m = int(cfg.get("m", 2))
+    n, paths, h, m = (cfg[key] for key in ("n", "paths", "h", "m"))
     events = int(n * n * h / 2.0)
     if n < 2:
         raise UsageError(f"generator-check needs n >= 2, got {n}")
@@ -279,17 +261,27 @@ def _exp_generator_check(cfg, params, seed):
                            "generator_prediction", "z_score"], rows)}
 
 
-_RUNNERS = {
-    "weights": _exp_weights,
-    "eppf-check": _exp_eppf_check,
-    "m1-check": _exp_m1_check,
-    "chain": _exp_chain,
-    "sde": _exp_sde,
-    "figure1": _exp_figure1,
-    "particles": _exp_particles,
-    "conditioned": _exp_conditioned,
-    "boundary": _exp_boundary,
-    "generator-check": _exp_generator_check,
+# name: (runner, params read: "any", "gg" (generalized-gamma only, for
+# formulas in V or beta) or "none", {config key: default}).  A given value
+# is coerced to an int or float default's type.  The runner works out a
+# None default from the other inputs and writes it back, but ks stays
+# None: {1, isqrt(n), n} for each n.
+EXPERIMENT_TABLE = {
+    "weights": (_exp_weights, "any", {"ns": [5, 10, 20, 50], "ks": None}),
+    "eppf-check": (_exp_eppf_check, "gg", {"n": 6, "replicates": 100_000}),
+    "m1-check": (_exp_m1_check, "gg", {"n": 10, "replicates": 100_000}),
+    "chain": (_exp_chain, "any", {"n": 200, "steps": 10_000, "k0": None,
+                                  "mode": "exact", "record_every": 1}),
+    "sde": (_exp_sde, "gg", {"s0": 1.0, "dt": 1e-3, "steps": 10_000}),
+    "figure1": (_exp_figure1, "none", {"n": 200, "steps": 300_000, "k0": 1,
+                "record_every": 100, "betas": [0.0, 100.0, 1000.0]}),
+    "particles": (_exp_particles, "any", {"n": 100, "t_max": 0.05,
+                  "grid_points": 11, "top": 50, "embedding": "discrete"}),
+    "conditioned": (_exp_conditioned, "any", {"n": 500, "steps": 400_000,
+                    "s_values": [1.0, 2.0, 3.0], "burn_in": None}),
+    "boundary": (_exp_boundary, "gg", {"x_grid": None}),
+    "generator-check": (_exp_generator_check, "gg", {"n": 300,
+                        "paths": 10_000, "h": 0.004, "m": 2}),
 }
 
 
@@ -330,17 +322,27 @@ def run(experiment: str, cfg: dict, seed: int, out_dir: str,
         fmt: str) -> list:
     """Run one experiment and write its data files plus manifest.json.
     Returns the list of written file paths."""
-    if experiment not in _RUNNERS:
+    if experiment not in EXPERIMENT_TABLE:
         raise UsageError(f"unknown experiment {experiment!r}")
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
-    params = _resolve_params(cfg)
-    if not isinstance(params, GGParams) and (experiment in _GG_ONLY or (
-            experiment, cfg.get("mode")) == ("chain", "asymptotic")):
-        raise UsageError(f"{experiment} needs generalized-gamma params "
-                         "(a, tau, alpha or beta)")
+    runner, reads, defaults = EXPERIMENT_TABLE[experiment]
+    keys = set(defaults) | ({"params"} if reads != "none" else set())
+    if unknown := sorted(set(cfg) - keys):
+        raise UsageError(f"{experiment} takes no key {', '.join(unknown)}; "
+                         f"its keys are {', '.join(sorted(keys))}")
+    resolved = {key: type(default)(cfg[key])
+                if key in cfg and isinstance(default, (int, float))
+                else cfg.get(key, default)
+                for key, default in defaults.items()}
+    params = None
+    if reads != "none":
+        params, resolved["params"] = _resolve_params(cfg.get("params", {}))
+        if reads == "gg" and not isinstance(params, GGParams):
+            raise UsageError(f"{experiment} needs generalized-gamma params "
+                             "(a, tau, alpha or beta)")
+    tables = runner(resolved, params, seed)
     os.makedirs(out_dir, exist_ok=True)
-    tables = _RUNNERS[experiment](cfg, params, seed)
     writer = _write_csv if fmt == "csv" else _write_json
     files = {}
     for stem in sorted(tables):
@@ -348,15 +350,9 @@ def run(experiment: str, cfg: dict, seed: int, out_dir: str,
         path = os.path.join(out_dir, f"{stem}.{fmt}")
         writer(path, header, rows)
         files[os.path.basename(path)] = _sha256(path)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
-        "package_version": __version__,
-        "seed": seed,
-        "format": fmt,
-        "config": {**cfg, "params": _params_dict(params)},
-        "files": files,
-    }
+    manifest = {"schema_version": SCHEMA_VERSION, "experiment": experiment,
+                "package_version": __version__, "seed": seed, "format": fmt,
+                "config": resolved, "files": files}
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
@@ -370,7 +366,7 @@ def main(argv=None) -> int:
         description="Experiment runner for Gibbs-type predictive weights, "
                     "alpha-diversity diffusions and Moran-type particle "
                     "systems.")
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=EXPERIMENT_TABLE)
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, help="RNG seed (required here "
                         "or in the config; no wall-clock seeding)")
@@ -385,19 +381,20 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
             if not isinstance(cfg, dict):
                 raise UsageError("config must be a JSON object")
-            declared = cfg.get("schema_version", SCHEMA_VERSION)
-            if declared != SCHEMA_VERSION:
-                raise UsageError(
-                    f"unsupported schema_version {declared!r}")
-            if "experiment" in cfg and cfg["experiment"] != args.experiment:
-                raise UsageError(
-                    f"config is for experiment {cfg['experiment']!r}, "
-                    f"not {args.experiment!r}")
-        seed = args.seed if args.seed is not None else cfg.get("seed")
+        # the runner's own keys; what is left is the experiment's config
+        version = cfg.pop("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise UsageError(f"unsupported schema_version {version!r}")
+        bound = cfg.pop("experiment", args.experiment)
+        if bound != args.experiment:
+            raise UsageError(f"config is for experiment {bound!r}, "
+                             f"not {args.experiment!r}")
+        seed, fmt = cfg.pop("seed", None), cfg.pop("format", "csv")
+        seed = args.seed if args.seed is not None else seed
         if seed is None:
             raise UsageError("a seed is required (--seed or config)")
-        fmt = args.format or cfg.get("format", "csv")
-        written = run(args.experiment, cfg, int(seed), args.out, fmt)
+        written = run(args.experiment, cfg, int(seed), args.out,
+                      args.format or fmt)
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

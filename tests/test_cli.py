@@ -162,3 +162,83 @@ def test_generator_check_is_byte_identical(tmp_path):
     assert _sha(first) == _sha(tmp_path / "b" / "generator.csv")
     z = float(first.read_text().splitlines()[1].split(",")[-1])
     assert abs(z) < 5.0
+
+
+def test_unknown_config_key_exits_2_before_any_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"step": 10}))  # chain's key is "steps"
+    assert main(["chain", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "step" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("chain", {"Beta": 5}),                 # unknown key
+    ("chain", {"theta": 1, "beta": 5}),     # Poisson-Dirichlet and beta
+    ("chain", {"a": 1, "beta": 2}),         # a and beta
+    ("figure1", {"beta": 2}),               # figure1 reads no params
+])
+def test_bad_params_exit_2_before_any_file(tmp_path, capsys, experiment,
+                                           params):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": params}))
+    assert main([experiment, "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "params" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# a small config for every experiment, with every key its manifest records
+SMALL = {
+    "weights": ({"ns": [4, 9]}, {"ns", "ks", "params"}),
+    "eppf-check": ({"n": 4, "replicates": 200}, {"n", "replicates", "params"}),
+    "m1-check": ({"n": 5, "replicates": 200}, {"n", "replicates", "params"}),
+    "chain": ({"n": 50, "steps": 200},
+              {"n", "steps", "k0", "mode", "record_every", "params"}),
+    "sde": ({"steps": 200}, {"s0", "dt", "steps", "params"}),
+    "figure1": ({"n": 50, "steps": 500, "record_every": 10,
+                 "betas": [0.0, 100.0]},
+                {"n", "steps", "k0", "record_every", "betas"}),
+    "particles": ({"n": 30, "t_max": 0.02, "grid_points": 3, "top": 5},
+                  {"n", "t_max", "grid_points", "top", "embedding",
+                   "params"}),
+    "conditioned": ({"n": 50, "s_values": [1.0], "steps": 2000},
+                    {"n", "s_values", "steps", "burn_in", "params"}),
+    "boundary": ({}, {"x_grid", "params"}),
+    "generator-check": ({"n": 40, "paths": 50, "h": 0.01},
+                        {"n", "paths", "h", "m", "params"}),
+}
+
+
+def _run_small(tmp_path, experiment, cfg, out):
+    path = tmp_path / f"{out}.json"
+    path.write_text(json.dumps(cfg))
+    assert main([experiment, "--seed", "3", "--config", str(path),
+                 "--out", str(tmp_path / out)]) == 0
+    return json.loads((tmp_path / out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_manifest_records_every_declared_key(tmp_path, experiment):
+    cfg, keys = SMALL[experiment]
+    config = _run_small(tmp_path, experiment, cfg, "o")["config"]
+    assert set(config) == keys
+    assert {k: config[k] for k in cfg} == cfg
+    derived = {"weights": ("ks", None), "chain": ("k0", 7),
+               "conditioned": ("burn_in", 200)}
+    if experiment in derived:
+        key, value = derived[experiment]
+        assert config[key] == value
+    if experiment == "boundary":
+        assert len(config["x_grid"]) == 20
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_manifest_config_reproduces_every_data_file(tmp_path, experiment):
+    first = _run_small(tmp_path, experiment, SMALL[experiment][0], "a")
+    again = _run_small(tmp_path, experiment, first["config"], "b")
+    assert again["config"] == first["config"]
+    assert again["files"] == first["files"]
+    for name, digest in again["files"].items():
+        assert _sha(tmp_path / "b" / name) == digest
