@@ -15,12 +15,10 @@ from .specfun import (alpha_diversity_density, exp_integral_ei,
                       upper_incomplete_gamma)
 from .urn import (GemWeights, PartitionState, ordered_frequencies,
                   sample_gem, sample_k_batch, sample_partition)
-from .diffusion import (ChainState, DiversityPath, FiniteDimState,
-                        SimplexPoint, chain_increment_moments,
-                        chain_transition_probs, finite_dim_step,
-                        generator_action_power_sum, project_ordered,
-                        scale_function, sde_step, simulate_chain,
-                        simulate_sde, speed_measure,
+from .diffusion import (ChainState, DiversityPath, SimplexPoint,
+                        chain_increment_moments, chain_transition_probs,
+                        generator_action_power_sum, scale_function, sde_step,
+                        simulate_chain, simulate_sde, speed_measure,
                         stationary_density_candidate)
 from .particle import (ParticleSystem, UniformStream, balanced_sizes,
                        conditioned_phi2_average, moran_ensemble,

@@ -78,20 +78,20 @@ def _path_table(path, record_every=1):
 
 def _exp_weights(cfg, params, seed):
     if isinstance(params, PDParams):
-        routes = {"pd": lambda n, k: weights_pd(n, k, params)}
-    else:
-        routes = {
-            "exact": lambda n, k: weights_gg_exact(n, k, params),
-            "quadrature": lambda n, k: weights_gg_quadrature(n, k, params),
-            "asymptotic": lambda n, k: weights_gg_asymptotic(n, k, params),
-        }
+        routes = {"pd": weights_pd}
+    elif params.alpha == 0.5:
+        routes = {"exact": weights_gg_exact,
+                  "quadrature": weights_gg_quadrature,
+                  "asymptotic": weights_gg_asymptotic}
+    else:  # the exact sums and the expansion are derived at alpha = 1/2
+        routes = {"quadrature": weights_gg_quadrature}
     rows = []
     for n in cfg["ns"]:
         ks = cfg["ks"] or sorted({1, max(1, int(math.isqrt(n))), n})
         for k in ks:
             for route, fn in routes.items():
                 try:
-                    w = fn(int(n), int(k))
+                    w = fn(int(n), int(k), params)
                 except PrecisionLossError as exc:
                     rows.append([n, k, route, float("nan"), float("nan"),
                                  exc.condition_estimate or float("nan"),
@@ -159,13 +159,16 @@ def _exp_sde(cfg, params, seed):
 
 
 def _exp_figure1(cfg, params, seed):
+    betas = sorted(float(b) for b in cfg["betas"])
+    stems = [f"figure1_beta{beta:g}" for beta in betas]
+    if len(set(stems)) < len(stems):
+        raise UsageError(f"figure1 betas {betas} name one file twice")
     out = {}
-    for beta in sorted(float(b) for b in cfg["betas"]):
+    for i, (beta, stem) in enumerate(zip(betas, stems)):
         path = diffusion.simulate_chain(
             cfg["n"], cfg["steps"], cfg["k0"], GGParams.from_beta(beta),
-            _rng(seed, int(beta)), mode="exact",
-            record_every=cfg["record_every"])
-        out[f"figure1_beta{beta:g}"] = _path_table(path, cfg["record_every"])
+            _rng(seed, i), mode="exact", record_every=cfg["record_every"])
+        out[stem] = _path_table(path, cfg["record_every"])
     return out
 
 
@@ -245,8 +248,7 @@ def _exp_generator_check(cfg, params, seed):
                          f"{n * n * h / 2.0:g}")
     sys0 = particle.ParticleSystem.initialize(n, params, _rng(seed))
     s = sys0.K / math.sqrt(n)
-    point = diffusion.SimplexPoint(coords=sys0.ordered_frequencies(),
-                                   truncation_len=sys0.K)
+    point = diffusion.SimplexPoint(coords=sys0.ordered_frequencies())
     predicted = diffusion.generator_action_power_sum(m, s, point, params)
     phi0 = sys0.phi(m)
     start = np.broadcast_to(sys0.assignments, (paths, n))

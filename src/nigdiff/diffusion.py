@@ -1,8 +1,7 @@
 """The rescaled cluster-count chain, its square-root diffusion limit
 dS = (beta/S) dt + sqrt(S) dB, boundary analytics (scale function,
-speed measure, stationary-density candidate), the (n+1)-dimensional
-truncated Wright-Fisher-type diffusion, and generator actions on
-power-sum test functions.
+speed measure, stationary-density candidate), and the action of the
+limiting frequency generator on power-sum test functions.
 
 Chain paths come from one engine: ``simulate_chain_ensemble`` reads
 transition tables built once per call from one row of the batch weight
@@ -63,29 +62,11 @@ class DiversityPath:
             raise DomainError("times and values must have equal length")
 
 
-@dataclass
-class FiniteDimState:
-    """State (s, z_1..z_n) of the truncated finite-dimensional diffusion:
-    s > 0, z_i >= eps_n, sum z_i = 1."""
-
-    s: float
-    z: np.ndarray
-
-    def validate(self, eps_n: float) -> None:
-        if self.s <= 0:
-            raise InternalConsistencyError("s must be positive")
-        if np.any(self.z < eps_n - 1e-15):
-            raise InternalConsistencyError("z below the eps_n floor")
-        if abs(float(self.z.sum()) - 1.0) > 1e-12:
-            raise InternalConsistencyError("z does not sum to 1")
-
-
 @dataclass(frozen=True)
 class SimplexPoint:
     """Decreasingly ordered nonnegative frequencies summing to <= 1."""
 
     coords: tuple
-    truncation_len: int
 
     def __post_init__(self):
         c = self.coords
@@ -327,83 +308,6 @@ def stationary_tail_partial_integral(t_upper: float, beta: float,
     if not np.isfinite(val):
         raise NumericalError("partial-integral quadrature failed")
     return val
-
-
-# ---------------------------------------------------------------------------
-# Finite-dimensional diffusion
-
-def default_eps(n: int) -> float:
-    """Default frequency floor eps_n = n^-2 (satisfies 0 < eps_n < 1/n
-    with n*eps_n decreasing)."""
-    return float(n) ** -2
-
-
-def finite_dim_covariance(z: np.ndarray, eps_n: float) -> np.ndarray:
-    """Truncated Wright-Fisher covariance
-    a_ij = (z_i - eps)(delta_ij (1 - n*eps) - (z_j - eps))."""
-    n = z.shape[0]
-    y = z - eps_n
-    a = -np.outer(y, y)
-    a[np.diag_indices(n)] += y * (1.0 - n * eps_n)
-    return a
-
-
-def finite_dim_drift(z: np.ndarray, s: float, eps_n: float,
-                     params: GGParams) -> np.ndarray:
-    """Drift b_i = beta(1-z_i)/(s(n-1)) - beta z_i/s
-    - alpha(1 - exp{-(z_i - eps) e^(1/eps)}).
-
-    The exp(1/eps) factor overflows for small eps; the mutation term is
-    then an indicator: alpha away from the floor, 0 on it."""
-    n = z.shape[0]
-    beta = params.beta
-    s_safe = max(s, SDE_FLOOR_GUARD)
-    b = beta * (1.0 - z) / (s_safe * (n - 1)) - beta * z / s_safe
-    scale = math.exp(min(1.0 / eps_n, 700.0))
-    arg = np.clip((z - eps_n) * scale, 0.0, 745.0)
-    return b - params.alpha * (1.0 - np.exp(-arg))
-
-
-def finite_dim_step(state: FiniteDimState, n: int, eps_n: float,
-                    params: GGParams, dt: float,
-                    rng: np.random.Generator) -> FiniteDimState:
-    """One Euler-Maruyama step of the (n+1)-dimensional diffusion: the
-    s-component follows the square-root diffusion; the z-components get
-    drift b_i and noise with covariance a_ij (square-root factor by
-    eigendecomposition with negative eigenvalues clipped at 0).  After
-    the step z is clipped to the eps_n floor and renormalized."""
-    if state.z.shape[0] != n:
-        raise DomainError("state dimension does not match n")
-    if not 0.0 < eps_n < 1.0 / n:
-        raise DomainError("need 0 < eps_n < 1/n")
-    z = state.z
-    a = finite_dim_covariance(z, eps_n)
-    try:
-        eigvals, eigvecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"covariance factorization failed at state s={state.s}, "
-            f"z={z!r}") from exc
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    noise = root @ rng.standard_normal(n)
-    b = finite_dim_drift(z, state.s, eps_n, params)
-    z_new = z + b * dt + math.sqrt(dt) * noise
-    # restore the invariants: floor at eps_n, then renormalize the excess
-    z_new = np.maximum(z_new, eps_n)
-    excess = z_new - eps_n
-    total = float(excess.sum())
-    if total <= 0.0:
-        z_new = np.full(n, 1.0 / n)
-    else:
-        z_new = eps_n + excess * (1.0 - n * eps_n) / total
-    s_new = max(sde_step(state.s, dt, params.beta, rng), SDE_FLOOR_GUARD)
-    return FiniteDimState(s=s_new, z=z_new)
-
-
-def project_ordered(state: FiniteDimState):
-    """(s, decreasingly sorted frequencies)."""
-    coords = tuple(sorted((float(v) for v in state.z), reverse=True))
-    return state.s, SimplexPoint(coords=coords, truncation_len=len(coords))
 
 
 # ---------------------------------------------------------------------------

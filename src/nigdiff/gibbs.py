@@ -382,7 +382,8 @@ def _asymptotic(n, k, params: GGParams):
 
 
 def weights_batch(n_arr, k_arr, params):
-    """(g0, g1) arrays for the states of two broadcast arrays, unclipped:
+    """(g0, g1) arrays in the broadcast shape of the two state arrays
+    (scalars included), unclipped:
     the closed form g0 = (theta + alpha*k)/(theta + n), g1 = 1/(theta + n)
     for Poisson-Dirichlet params, in the operation order of
     ``weights_pd``; for generalized-gamma params the kernel's g1 = w/n
@@ -398,7 +399,7 @@ def weights_batch(n_arr, k_arr, params):
         raise DomainError(f"unsupported parameter type {type(params)!r}")
     if params.a == 0.0:
         return params.alpha * k / n, 1.0 / n
-    w = _log_v_w(n, k, params)[1]
+    w = _log_v_w(n.ravel(), k.ravel(), params)[1].reshape(n.shape)
     return 1.0 - (1.0 - params.alpha * k / n) * w, w / n
 
 

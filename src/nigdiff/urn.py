@@ -173,4 +173,4 @@ def ordered_frequencies(state: PartitionState):
     from .diffusion import SimplexPoint
     n = state.n
     coords = tuple(sorted((s / n for s in state.block_sizes), reverse=True))
-    return SimplexPoint(coords=coords, truncation_len=len(coords))
+    return SimplexPoint(coords=coords)

@@ -332,8 +332,7 @@ def test_criterion_12_generator_matches_semigroup_derivative(report):
     start = ParticleSystem(base)
     phi0 = start.phi(2)
     s = k / math.sqrt(n)
-    point = SimplexPoint(coords=start.ordered_frequencies(),
-                         truncation_len=k)
+    point = SimplexPoint(coords=start.ordered_frequencies())
     predicted = generator_action_power_sum(2, s, point, params)
 
     paths = 10_000

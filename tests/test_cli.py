@@ -7,7 +7,9 @@ import os
 import pytest
 
 import nigdiff
-from nigdiff.cli import SCHEMA_VERSION, main
+from nigdiff.cli import SCHEMA_VERSION, _rng, main
+from nigdiff.diffusion import simulate_chain
+from nigdiff.gibbs import GGParams
 
 
 def _sha(path):
@@ -242,3 +244,44 @@ def test_manifest_config_reproduces_every_data_file(tmp_path, experiment):
     assert again["files"] == first["files"]
     for name, digest in again["files"].items():
         assert _sha(tmp_path / "b" / name) == digest
+
+
+def test_weights_off_alpha_half_runs_only_the_quadrature_route(tmp_path):
+    # the exact sums and the large-n expansion are derived at alpha = 1/2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ns": [5, 20],
+                                "params": {"a": 1, "alpha": 0.3}}))
+    assert main(["weights", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "o" / "weights.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("5", "1"), ("5", "2"), ("5", "5"), ("20", "1"), ("20", "4"),
+        ("20", "20")]
+    assert {r[2] for r in rows} == {"quadrature"}
+    assert all(abs(float(r[6])) < 1e-12 for r in rows)
+
+
+def test_figure1_keys_each_stream_on_the_position_of_its_beta(tmp_path):
+    path = tmp_path / "cfg.json"
+    cfg = {"n": 50, "steps": 500, "record_every": 10, "betas": [0.7, 0.3]}
+    path.write_text(json.dumps(cfg))
+    assert main(["figure1", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    for i, beta in enumerate((0.3, 0.7)):
+        want = simulate_chain(50, 500, 1, GGParams.from_beta(beta),
+                              _rng(1, i), record_every=10).values
+        lines = (tmp_path / "o" / f"figure1_beta{beta:g}.csv").read_text()
+        got = tuple(float(line.split(",")[2])
+                    for line in lines.splitlines()[1:])
+        assert got == want, beta
+
+
+@pytest.mark.parametrize("betas", [[2, 2], [2.0, 2.0000001]])
+def test_figure1_refuses_betas_that_name_one_file(tmp_path, capsys, betas):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 50, "steps": 100, "betas": betas}))
+    assert main(["figure1", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "betas" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,6 +1,6 @@
 """Cluster-count chain, square-root diffusion, boundary analytics and
-the finite-dimensional diffusion, against quadrature and finite-difference
-oracles."""
+the generator action on power sums, against quadrature and
+finite-difference oracles."""
 
 import math
 
@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nigdiff.diffusion import (ChainState, DiversityPath, FiniteDimState,
-                               SimplexPoint, _transition_tables,
-                               chain_increment_moments,
-                               chain_transition_probs, default_eps,
-                               finite_dim_covariance, finite_dim_drift,
-                               finite_dim_step, generator_action_power_sum,
-                               project_ordered, scale_function, sde_step,
-                               simulate_chain, simulate_chain_ensemble,
-                               simulate_sde, speed_measure,
-                               stationary_density_candidate,
+from nigdiff.diffusion import (ChainState, DiversityPath, SimplexPoint,
+                               _transition_tables, chain_increment_moments,
+                               chain_transition_probs,
+                               generator_action_power_sum, scale_function,
+                               sde_step, simulate_chain,
+                               simulate_chain_ensemble, simulate_sde,
+                               speed_measure, stationary_density_candidate,
                                stationary_tail_partial_integral)
 from nigdiff.errors import DomainError, NumericalError
 from nigdiff.gibbs import GGParams, PDParams
@@ -38,15 +35,15 @@ def test_chain_state_validation():
 
 
 def test_simplex_point_validation_and_power_sum():
-    p = SimplexPoint(coords=(0.5, 0.3, 0.2), truncation_len=3)
+    p = SimplexPoint(coords=(0.5, 0.3, 0.2))
     assert p.power_sum(1) == pytest.approx(1.0)
     assert p.power_sum(2) == pytest.approx(0.38)
     with pytest.raises(DomainError):
         p.power_sum(0)
     with pytest.raises(DomainError):
-        SimplexPoint(coords=(0.2, 0.5), truncation_len=2)
+        SimplexPoint(coords=(0.2, 0.5))
     with pytest.raises(DomainError):
-        SimplexPoint(coords=(0.9, 0.3), truncation_len=2)
+        SimplexPoint(coords=(0.9, 0.3))
 
 
 def test_diversity_path_validation():
@@ -269,66 +266,6 @@ def test_stationary_tail_partial_integral_log_growth():
 
 
 # ---------------------------------------------------------------------------
-# Finite-dimensional diffusion
-
-def test_default_eps():
-    assert default_eps(10) == pytest.approx(0.01)
-    assert 0.0 < default_eps(10) < 0.1
-
-
-def test_finite_dim_covariance_rows_sum_zero_and_psd(rng):
-    n = 6
-    eps = default_eps(n)
-    z = rng.dirichlet(np.ones(n))
-    z = eps + (z * (1.0 - n * eps))
-    a = finite_dim_covariance(z, eps)
-    assert np.allclose(a.sum(axis=1), 0.0, atol=1e-14)
-    assert np.allclose(a, a.T)
-    assert np.linalg.eigvalsh(a).min() > -1e-14
-
-
-def test_finite_dim_drift_mutation_indicator():
-    params = GGParams.from_beta(2.0)
-    n = 5
-    eps = default_eps(n)
-    z = np.full(n, 1.0 / n)
-    z[0] = eps
-    z[1] = 1.0 - eps - 3.0 / n
-    s = 2.0
-    b = finite_dim_drift(z, s, eps, params)
-    beta = params.beta
-    # on the floor: no mutation outflow
-    expected0 = beta * (1 - z[0]) / (s * (n - 1)) - beta * z[0] / s
-    assert b[0] == pytest.approx(expected0, rel=1e-12)
-    # away from the floor: full mutation rate alpha
-    expected1 = (beta * (1 - z[1]) / (s * (n - 1)) - beta * z[1] / s
-                 - params.alpha)
-    assert b[1] == pytest.approx(expected1, rel=1e-12)
-
-
-def test_finite_dim_step_preserves_invariants(rng):
-    params = GGParams.from_beta(2.0)
-    n = 8
-    eps = default_eps(n)
-    state = FiniteDimState(s=1.5, z=np.full(n, 1.0 / n))
-    for _ in range(50):
-        state = finite_dim_step(state, n, eps, params, 1e-3, rng)
-        state.validate(eps)
-    assert state.s > 0.0
-    with pytest.raises(DomainError):
-        finite_dim_step(state, n + 1, eps, params, 1e-3, rng)
-    with pytest.raises(DomainError):
-        finite_dim_step(state, n, 0.5, params, 1e-3, rng)
-
-
-def test_project_ordered(rng):
-    state = FiniteDimState(s=2.0, z=np.array([0.1, 0.6, 0.3]))
-    s, point = project_ordered(state)
-    assert s == 2.0
-    assert point.coords == (0.6, 0.3, 0.1)
-
-
-# ---------------------------------------------------------------------------
 # Generator action on power sums
 
 def _fd_generator_action(m, s, z, params, h=1e-5):
@@ -363,7 +300,7 @@ def _fd_generator_action(m, s, z, params, h=1e-5):
 def test_generator_action_matches_fd_assembly(m):
     params = GGParams.from_beta(2.0)
     z = np.array([0.4, 0.25, 0.2, 0.1, 0.05])
-    point = SimplexPoint(coords=tuple(z), truncation_len=5)
+    point = SimplexPoint(coords=tuple(z))
     s = 1.7
     closed = generator_action_power_sum(m, s, point, params)
     fd = _fd_generator_action(m, s, z, params)
@@ -372,14 +309,14 @@ def test_generator_action_matches_fd_assembly(m):
 
 def test_generator_action_validation():
     params = GGParams.from_beta(1.0)
-    point = SimplexPoint(coords=(0.6, 0.4), truncation_len=2)
+    point = SimplexPoint(coords=(0.6, 0.4))
     with pytest.raises(DomainError):
         generator_action_power_sum(1, 1.0, point, params)
     with pytest.raises(DomainError):
         generator_action_power_sum(2, 0.0, point, params)
     with pytest.raises(DomainError):
         generator_action_power_sum(
-            2, 1.0, SimplexPoint(coords=(0.5, 0.3), truncation_len=2),
+            2, 1.0, SimplexPoint(coords=(0.5, 0.3)),
             params)
 
 
@@ -388,6 +325,6 @@ def test_generator_action_triangular_fixed_point():
     # A1 phi_2 = 0 iff phi_2 = (1 - alpha) / (1 + theta)
     params = GGParams.from_beta(3.0)
     s = 3.0  # theta = beta/s = 1, so the target is 0.5/(1+1) = 1/4
-    point = SimplexPoint(coords=(0.25,) * 4, truncation_len=4)
+    point = SimplexPoint(coords=(0.25,) * 4)
     assert generator_action_power_sum(2, s, point, params) == pytest.approx(
         0.0, abs=1e-12)

@@ -265,6 +265,25 @@ def test_batch_matches_scalar_rows():
         weights_batch(np.array([3.0]), np.array([4.0]), params)
 
 
+@pytest.mark.parametrize("params", [PDParams(theta=1.0, alpha=0.5),
+                                    GGParams(a=0.0), gg(2.0),
+                                    GGParams.from_beta(2.0, alpha=0.3)])
+def test_weights_batch_broadcasts_scalar_and_2d_states(params):
+    # scalar, 1-d and (2, 2) states come back in the broadcast shape,
+    # each equal to its state evaluated alone
+    cases = [(10, 3), (np.array([10, 40, 40]), np.array([3, 1, 40])),
+             (np.array([[10, 10], [40, 40]]), np.array([[3, 7], [1, 40]])),
+             (40, np.array([[1, 5], [20, 40]]))]
+    for n, k in cases:
+        g0, g1 = weights_batch(n, k, params)
+        shape = np.broadcast_shapes(np.shape(n), np.shape(k))
+        assert g0.shape == g1.shape == shape
+        nb, kb = np.broadcast_arrays(n, k)
+        for idx in np.ndindex(shape):
+            alone = weights_batch([nb[idx]], [kb[idx]], params)
+            assert (g0[idx], g1[idx]) == (alone[0][0], alone[1][0]), idx
+
+
 def test_g0_batch_matches_quadrature():
     # g0(n, k) = V(n+1, k+1) / V(n, k) from the adaptive-quadrature oracle
     states = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1),

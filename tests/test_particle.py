@@ -302,8 +302,7 @@ def test_moran_phi2_drift_approaches_generator_action():
         n = sum(sizes)
         s = len(sizes) / math.sqrt(n)
         point = SimplexPoint(
-            coords=tuple(sorted((c / n for c in sizes), reverse=True)),
-            truncation_len=len(sizes))
+            coords=tuple(sorted((c / n for c in sizes), reverse=True)))
         drift = moran_phi2_drift(sizes, params)
         limit = generator_action_power_sum(2, s, point, params)
         gaps.append(abs(drift - limit))
