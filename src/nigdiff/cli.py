@@ -144,8 +144,8 @@ def _exp_chain(cfg, params, seed):
     if cfg["mode"] == "asymptotic" and not isinstance(params, GGParams):
         raise UsageError("chain in asymptotic mode needs generalized-gamma "
                          "params (a, tau, alpha or beta)")
-    if cfg["k0"] is None:  # start at s = 1
-        cfg["k0"] = max(1, round(math.sqrt(cfg["n"])))
+    if cfg["k0"] is None:  # start at s = k/n^alpha = 1
+        cfg["k0"] = max(1, round(cfg["n"] ** params.alpha))
     path = diffusion.simulate_chain(cfg["n"], cfg["steps"], int(cfg["k0"]),
                                     params, _rng(seed), mode=cfg["mode"],
                                     record_every=cfg["record_every"])
@@ -251,7 +251,7 @@ def _exp_generator_check(cfg, params, seed):
     point = diffusion.SimplexPoint(coords=sys0.ordered_frequencies())
     predicted = diffusion.generator_action_power_sum(m, s, point, params)
     phi0 = sys0.phi(m)
-    start = np.broadcast_to(sys0.assignments, (paths, n))
+    start = np.broadcast_to(sys0.slots, (paths, n))
     counts = particle.moran_ensemble(start, events, params, _rng(seed, 1))[1]
     samples = np.zeros(paths)
     for column in counts.T:  # by slot, to keep temporaries at O(paths)
@@ -264,24 +264,25 @@ def _exp_generator_check(cfg, params, seed):
 
 
 # name: (runner, params read: "any", "gg" (generalized-gamma only, for
-# formulas in V or beta) or "none", {config key: default}).  A given value
-# is coerced to an int or float default's type.  The runner works out a
-# None default from the other inputs and writes it back, but ks stays
-# None: {1, isqrt(n), n} for each n.
+# formulas in V or beta), "nig" (generalized gamma at alpha = 1/2, for
+# the alpha = 1/2 diffusion) or "none", {config key: default}).  A given
+# value is coerced to an int or float default's type.  The runner works
+# out a None default from the other inputs and writes it back, but ks
+# stays None: {1, isqrt(n), n} for each n.
 EXPERIMENT_TABLE = {
     "weights": (_exp_weights, "any", {"ns": [5, 10, 20, 50], "ks": None}),
     "eppf-check": (_exp_eppf_check, "gg", {"n": 6, "replicates": 100_000}),
     "m1-check": (_exp_m1_check, "gg", {"n": 10, "replicates": 100_000}),
     "chain": (_exp_chain, "any", {"n": 200, "steps": 10_000, "k0": None,
                                   "mode": "exact", "record_every": 1}),
-    "sde": (_exp_sde, "gg", {"s0": 1.0, "dt": 1e-3, "steps": 10_000}),
+    "sde": (_exp_sde, "nig", {"s0": 1.0, "dt": 1e-3, "steps": 10_000}),
     "figure1": (_exp_figure1, "none", {"n": 200, "steps": 300_000, "k0": 1,
                 "record_every": 100, "betas": [0.0, 100.0, 1000.0]}),
     "particles": (_exp_particles, "any", {"n": 100, "t_max": 0.05,
                   "grid_points": 11, "top": 50, "embedding": "discrete"}),
     "conditioned": (_exp_conditioned, "any", {"n": 500, "steps": 400_000,
                     "s_values": [1.0, 2.0, 3.0], "burn_in": None}),
-    "boundary": (_exp_boundary, "gg", {"x_grid": None}),
+    "boundary": (_exp_boundary, "nig", {"x_grid": None}),
     "generator-check": (_exp_generator_check, "gg", {"n": 300,
                         "paths": 10_000, "h": 0.004, "m": 2}),
 }
@@ -340,9 +341,12 @@ def run(experiment: str, cfg: dict, seed: int, out_dir: str,
     params = None
     if reads != "none":
         params, resolved["params"] = _resolve_params(cfg.get("params", {}))
-        if reads == "gg" and not isinstance(params, GGParams):
+        if reads in ("gg", "nig") and not isinstance(params, GGParams):
             raise UsageError(f"{experiment} needs generalized-gamma params "
                              "(a, tau, alpha or beta)")
+        if reads == "nig" and params.alpha != 0.5:
+            raise UsageError(f"{experiment} runs the alpha = 1/2 diffusion "
+                             f"and needs alpha = 0.5, not {params.alpha:g}")
     tables = runner(resolved, params, seed)
     os.makedirs(out_dir, exist_ok=True)
     writer = _write_csv if fmt == "csv" else _write_json

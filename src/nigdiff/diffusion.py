@@ -161,16 +161,17 @@ def _transition_tables(n: int, params: GGParams, mode: str):
 def simulate_chain(n: int, steps: int, k0: int, params: GGParams,
                    rng: np.random.Generator, mode: str = "exact",
                    record_every: int = 1) -> DiversityPath:
-    """Path of k/n^alpha at the rescaled clock t = step / n^(3/2)."""
+    """Path of k/n^alpha at the rescaled clock t = step / n^(1+alpha),
+    the clock of ``chain_increment_moments``."""
     path = simulate_chain_ensemble(n, steps, k0, params, 1, rng, mode,
                                    record_every)
     alpha = params.alpha
-    times = tuple(i * record_every / n ** 1.5
+    times = tuple(i * record_every / n ** (1 + alpha)
                   for i in range(path.shape[0]))
     values = tuple(path[:, 0] / n ** alpha)
     return DiversityPath(times=times, values=values,
                          rescaling={"space_exponent": alpha,
-                                    "time_exponent": 1.5})
+                                    "time_exponent": 1 + alpha})
 
 
 def simulate_chain_ensemble(n: int, steps: int, k0: int, params: GGParams,

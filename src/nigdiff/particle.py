@@ -23,8 +23,9 @@ as the rows of (R, n) arrays, one after another, for the many short
 runs of the generator and stationarity checks.  Both read numpy
 uniforms from a ``UniformStream``: an event is applied only once all
 its uniforms are read, and what a chunk leaves over is carried into the
-next, so no uniform is discarded.  ``ParticleSystem`` is the dict-based
-state that the rescaled observables are read from.
+next, so no uniform is discarded.  ``ParticleSystem`` holds one
+system's slot and count arrays, which the rescaled observables are read
+from.
 """
 
 from __future__ import annotations
@@ -41,37 +42,36 @@ from .urn import PartitionState, sample_partition
 
 
 class ParticleSystem:
-    """n particles with integer type ids, their block counts and the sum
-    of squared counts ``sum_sq``, from which the rescaled observables are
-    read.  ``simulate_rescaled`` writes its events back into one, with
-    slot numbers as type ids.
+    """n particles in the compiled loop's format: ``slots[i]`` is the
+    slot of particle i's type and ``counts[t]`` the number of particles
+    in slot t, two int32 arrays of length n that ``particle_run`` and
+    ``simulate_rescaled`` advance in place.  The constructor gives type
+    ids slots in order of first appearance.
     """
 
-    __slots__ = ("assignments", "counts", "sum_sq")
+    __slots__ = ("slots", "counts")
 
     def __init__(self, assignments):
-        self.assignments = list(assignments)
-        if not self.assignments:
+        ids = {}
+        self.slots = np.array([ids.setdefault(t, len(ids))
+                               for t in assignments], dtype=np.int32)
+        if not self.slots.size:
             raise DomainError("a particle system needs at least one particle")
-        self.counts = {}
-        for t in self.assignments:
-            self.counts[t] = self.counts.get(t, 0) + 1
-        self.sum_sq = sum(c * c for c in self.counts.values())
+        self.counts = np.bincount(self.slots, minlength=self.n).astype(
+            np.int32)
 
     @property
     def n(self) -> int:
-        return len(self.assignments)
+        return self.slots.size
 
     @property
     def K(self) -> int:
-        return len(self.counts)
+        return int(np.count_nonzero(self.counts))
 
     @staticmethod
     def from_partition(state: PartitionState) -> "ParticleSystem":
-        assignments = []
-        for bid, size in zip(state.block_ids, state.block_sizes):
-            assignments.extend([bid] * size)
-        return ParticleSystem(assignments)
+        return ParticleSystem(
+            np.repeat(np.arange(state.K), state.block_sizes).tolist())
 
     @staticmethod
     def initialize(n: int, params, rng: np.random.Generator
@@ -80,29 +80,27 @@ class ParticleSystem:
         return ParticleSystem.from_partition(sample_partition(n, params, rng))
 
     def phi(self, m: int) -> float:
-        """Power sum of relative frequencies, sum (n_j/n)^m."""
+        """Power sum of relative frequencies, sum (n_j/n)^m, in slot
+        order; phi(2) is the exact integer sum of squares over n^2."""
         if m < 1:
             raise DomainError("phi requires m >= 1")
         n = self.n
+        counts = [c for c in self.counts.tolist() if c]
         if m == 2:
-            return self.sum_sq / (n * n)
-        return sum((c / n) ** m for c in self.counts.values())
+            return sum(c * c for c in counts) / (n * n)
+        return sum((c / n) ** m for c in counts)
 
     def ordered_frequencies(self, top: int = None) -> tuple:
-        freqs = sorted((c / self.n for c in self.counts.values()),
+        freqs = sorted((c / self.n for c in self.counts.tolist() if c),
                        reverse=True)
         if top is not None:
             freqs = freqs[:top]
         return tuple(freqs)
 
     def validate(self) -> None:
-        recount = {}
-        for t in self.assignments:
-            recount[t] = recount.get(t, 0) + 1
-        if recount != self.counts:
-            raise InternalConsistencyError("counts out of sync")
-        if self.sum_sq != sum(c * c for c in recount.values()):
-            raise InternalConsistencyError("sum of squares out of sync")
+        if self.slots.min() < 0 or not np.array_equal(
+                np.bincount(self.slots, minlength=self.n), self.counts):
+            raise InternalConsistencyError("counts out of sync with slots")
 
 
 def _g0_table(n: int, params) -> np.ndarray:
@@ -298,19 +296,11 @@ def conditioned_phi2_average(block_sizes, steps: int, alpha: float,
     numbered above ``burn_in``: one conditioned ``particle_run``."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if burn_in < 0 or burn_in >= steps:
-        raise DomainError("need 0 <= burn_in < steps")
-    sizes = [int(s) for s in block_sizes]
-    if any(s < 1 for s in sizes) or len(sizes) < 1:
-        raise DomainError("block sizes must be positive")
-    n = sum(sizes)
-    if n < 2:
-        raise DomainError("need at least two particles")
-    slots = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    counts = np.bincount(slots, minlength=n).astype(np.int32)
-    total = particle_run(slots, counts, steps, alpha, UniformStream(rng),
-                         burn_in=burn_in)
-    return total / ((steps - burn_in) * n * n)
+    sys0 = ParticleSystem.from_partition(
+        PartitionState(block_sizes=list(block_sizes)))
+    total = particle_run(sys0.slots, sys0.counts, steps, alpha,
+                         UniformStream(rng), burn_in=burn_in)
+    return total / ((steps - burn_in) * sys0.n * sys0.n)
 
 
 @dataclass(frozen=True)
@@ -328,8 +318,8 @@ class RescaledPath:
 def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
                       rng: np.random.Generator, top: int = 50,
                       embedding: str = "discrete") -> RescaledPath:
-    """Run one event stream and record both rescaled observables on the
-    requested time grid.
+    """Run one event stream from ``sys0``, advancing it in place, and
+    record both rescaled observables on the requested time grid.
 
     ``embedding`` selects how the event index is attached to continuous
     time: "discrete" reads the floor of the rescaled time (one event per
@@ -358,20 +348,13 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
     phi_snap = {}
     current = 0
     sqrt_n = math.sqrt(n)
-    ids = {t: slot for slot, t in enumerate(sys0.counts)}
-    slots = np.array([ids[t] for t in sys0.assignments], dtype=np.int32)
-    counts = np.bincount(slots, minlength=n).astype(np.int32)
     g0 = _g0_table(n, params)
     uniforms = UniformStream(rng)
     for idx in sorted(k_set | f_set):
         if idx > current:
-            particle_run(slots, counts, idx - current, params.alpha,
-                         uniforms, g0=g0)
+            particle_run(sys0.slots, sys0.counts, idx - current,
+                         params.alpha, uniforms, g0=g0)
             current = idx
-            # slot t holds type t from here on
-            sys0.assignments = slots.tolist()
-            sys0.counts = {t: c for t, c in enumerate(counts.tolist()) if c}
-            sys0.sum_sq = sum(c * c for c in sys0.counts.values())
         if idx in k_set:
             k_snap[idx] = sys0.K / sqrt_n
         if idx in f_set:

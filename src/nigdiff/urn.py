@@ -30,20 +30,13 @@ _partition_rows = lru_cache(maxsize=64)(_g0_rows)
 
 @dataclass
 class PartitionState:
-    """An exchangeable partition of n items into K blocks.
-
-    Blocks carry integer ids so particle-level views can refer to them;
-    by default block j has id j.
-    """
+    """An exchangeable partition of n items into K blocks."""
 
     block_sizes: list = field(default_factory=lambda: [1])
-    block_ids: list = None
 
     def __post_init__(self):
         if not self.block_sizes or any(s < 1 for s in self.block_sizes):
             raise DomainError("block sizes must be positive")
-        if self.block_ids is None:
-            self.block_ids = list(range(len(self.block_sizes)))
 
     @property
     def n(self) -> int:
@@ -62,8 +55,6 @@ class PartitionState:
         return profile
 
     def validate(self) -> None:
-        if len(self.block_ids) != len(self.block_sizes):
-            raise InternalConsistencyError("block id/size length mismatch")
         if any(s < 1 for s in self.block_sizes):
             raise InternalConsistencyError("nonpositive block size")
         profile = self.multiplicity_profile

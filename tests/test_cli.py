@@ -154,6 +154,34 @@ def test_gg_only_experiments_refuse_pd_params(tmp_path, capsys, experiment,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("experiment", ["sde", "boundary"])
+def test_alpha_half_diffusion_experiments_refuse_other_alpha(
+        tmp_path, capsys, experiment):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"a": 1, "alpha": 0.3}}))
+    assert main([experiment, "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert experiment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_chain_off_alpha_half_uses_the_alpha_clock_and_starts_at_s_1(
+        tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 100, "steps": 10,
+                                "params": {"a": 1, "alpha": 0.3}}))
+    assert main(["chain", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "o" / "chain.csv").read_text().splitlines()[1:]]
+    # one step is one tick n^-(1 + alpha) of chain_increment_moments
+    assert float(rows[1][1]) == 1 / 100 ** 1.3
+    k0 = round(100 ** 0.3)
+    assert float(rows[0][2]) == k0 / 100 ** 0.3
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["k0"] == k0
+
+
 def test_generator_check_is_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 40, "paths": 200, "h": 0.01}))

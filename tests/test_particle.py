@@ -39,9 +39,22 @@ def test_round_trip_partition_particles():
 
 def test_validate_catches_desync():
     sys_ = ParticleSystem([0, 0, 1])
-    sys_.sum_sq = 99
+    sys_.counts[0] = 1
     with pytest.raises(InternalConsistencyError):
         sys_.validate()
+    sys_ = ParticleSystem([0, 0, 1])
+    sys_.slots[2] = -1
+    with pytest.raises(InternalConsistencyError):
+        sys_.validate()
+
+
+def test_constructor_gives_slots_in_order_of_first_appearance():
+    sys_ = ParticleSystem([7, 7, "x", 3])
+    assert sys_.slots.tolist() == [0, 0, 1, 2]
+    assert sys_.counts.tolist() == [2, 1, 1, 0]
+    assert sys_.slots.dtype == sys_.counts.dtype == np.int32
+    assert sys_.K == 3
+    sys_.validate()
 
 
 def test_ordered_frequencies_truncation():
@@ -374,8 +387,8 @@ def test_simulate_rescaled_is_one_unbroken_run():
     particle_run(slots, counts, int(0.3 * n * n / 2.0), params.alpha,
                  UniformStream(np.random.default_rng(3)),
                  g0=particle._g0_table(n, params))
-    assert sys_.assignments == slots.tolist()
-    assert sys_.counts == {t: c for t, c in enumerate(counts.tolist()) if c}
+    assert np.array_equal(sys_.slots, slots)
+    assert np.array_equal(sys_.counts, counts)
     sys_.validate()
 
 

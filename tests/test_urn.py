@@ -25,7 +25,6 @@ def test_partition_state_defaults_and_ids():
     s = PartitionState(block_sizes=[3, 1, 2])
     assert s.n == 6
     assert s.K == 3
-    assert s.block_ids == [0, 1, 2]
     assert s.shape() == (3, 2, 1)
     assert s.multiplicity_profile == {3: 1, 1: 1, 2: 1}
     s.validate()
@@ -39,10 +38,6 @@ def test_partition_state_rejects_bad_sizes():
 
 
 def test_partition_state_validate_catches_corruption():
-    s = PartitionState(block_sizes=[2, 2])
-    s.block_ids.append(7)
-    with pytest.raises(InternalConsistencyError):
-        s.validate()
     s = PartitionState(block_sizes=[2, 2])
     s.block_sizes[0] = -1
     with pytest.raises(InternalConsistencyError):
