@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__, diffusion, gibbs, particle, urn
-from .errors import NigdiffError, PrecisionLossError
+from .errors import NigdiffError
 from .gibbs import (GGParams, PDParams, eppf, integer_partitions, m1_pmf,
                     shape_count, weights_gg_asymptotic, weights_gg_exact,
                     weights_gg_quadrature, weights_pd)
@@ -90,13 +90,7 @@ def _exp_weights(cfg, params, seed):
         ks = cfg["ks"] or sorted({1, max(1, int(math.isqrt(n))), n})
         for k in ks:
             for route, fn in routes.items():
-                try:
-                    w = fn(int(n), int(k), params)
-                except PrecisionLossError as exc:
-                    rows.append([n, k, route, float("nan"), float("nan"),
-                                 exc.condition_estimate or float("nan"),
-                                 float("nan")])
-                    continue
+                w = fn(int(n), int(k), params)
                 rows.append([n, k, route, w.g0, w.g1, w.condition_estimate,
                              w.g0 + (n - params.alpha * k) * w.g1 - 1.0])
     return {"weights": (["n", "k", "route", "g0", "g1", "condition",
@@ -264,11 +258,12 @@ def _exp_generator_check(cfg, params, seed):
 
 
 # name: (runner, params read: "any", "gg" (generalized-gamma only, for
-# formulas in V or beta), "nig" (generalized gamma at alpha = 1/2, for
-# the alpha = 1/2 diffusion) or "none", {config key: default}).  A given
-# value is coerced to an int or float default's type.  The runner works
-# out a None default from the other inputs and writes it back, but ks
-# stays None: {1, isqrt(n), n} for each n.
+# formulas in V or beta), "half" (any at alpha = 1/2, for the alpha = 1/2
+# scaling), "nig" (generalized gamma at alpha = 1/2) or "none",
+# {config key: default}).  A given value is coerced to an int or float
+# default's type.  The runner works out a None default from the other
+# inputs and writes it back, but ks stays None: {1, isqrt(n), n} for
+# each n.
 EXPERIMENT_TABLE = {
     "weights": (_exp_weights, "any", {"ns": [5, 10, 20, 50], "ks": None}),
     "eppf-check": (_exp_eppf_check, "gg", {"n": 6, "replicates": 100_000}),
@@ -278,12 +273,12 @@ EXPERIMENT_TABLE = {
     "sde": (_exp_sde, "nig", {"s0": 1.0, "dt": 1e-3, "steps": 10_000}),
     "figure1": (_exp_figure1, "none", {"n": 200, "steps": 300_000, "k0": 1,
                 "record_every": 100, "betas": [0.0, 100.0, 1000.0]}),
-    "particles": (_exp_particles, "any", {"n": 100, "t_max": 0.05,
+    "particles": (_exp_particles, "half", {"n": 100, "t_max": 0.05,
                   "grid_points": 11, "top": 50, "embedding": "discrete"}),
-    "conditioned": (_exp_conditioned, "any", {"n": 500, "steps": 400_000,
+    "conditioned": (_exp_conditioned, "half", {"n": 500, "steps": 400_000,
                     "s_values": [1.0, 2.0, 3.0], "burn_in": None}),
     "boundary": (_exp_boundary, "nig", {"x_grid": None}),
-    "generator-check": (_exp_generator_check, "gg", {"n": 300,
+    "generator-check": (_exp_generator_check, "nig", {"n": 300,
                         "paths": 10_000, "h": 0.004, "m": 2}),
 }
 
@@ -344,8 +339,8 @@ def run(experiment: str, cfg: dict, seed: int, out_dir: str,
         if reads in ("gg", "nig") and not isinstance(params, GGParams):
             raise UsageError(f"{experiment} needs generalized-gamma params "
                              "(a, tau, alpha or beta)")
-        if reads == "nig" and params.alpha != 0.5:
-            raise UsageError(f"{experiment} runs the alpha = 1/2 diffusion "
+        if reads in ("half", "nig") and params.alpha != 0.5:
+            raise UsageError(f"{experiment} runs the alpha = 1/2 scaling "
                              f"and needs alpha = 0.5, not {params.alpha:g}")
     tables = runner(resolved, params, seed)
     os.makedirs(out_dir, exist_ok=True)

@@ -15,15 +15,10 @@ class UnsupportedParameterError(NigdiffError, ValueError):
 
 
 class PrecisionLossError(NigdiffError, ArithmeticError):
-    """A subtraction cancelled more decimal digits than the configured
-    threshold allows.
-
-    Raised only by ``weights_gg_exact``, the 50-digit reference route.
-    Its sums are built from positive terms; the one cancellation left is
-    the final difference P - N of their even and odd parts, and
-    ``condition_estimate`` is the number of digits it lost.
-    ``weights_gg_quadrature`` answers every state without cancellation.
-    """
+    """A subtraction cancelled more decimal digits than a result can
+    spare; ``condition_estimate`` is the number of digits it lost.
+    Exported for callers that catch it; nothing in the package raises
+    it, as ``weights_gg_exact`` picks its working precision."""
 
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)

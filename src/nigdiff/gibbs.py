@@ -7,13 +7,13 @@ Two routes are provided for the generalized-gamma predictive weights
 
 * ``weights_gg_exact`` — the independent reference, alpha = 1/2 only.
   V(n, k) is, up to a prefactor, an alternating sum S = P - N of
-  incomplete-gamma terms.  One 50-digit build per beta runs a two-term
-  recursion in which every term is positive, P(n+1, k) = P(n, k) +
-  beta^2 N(n, k-2) and N(n+1, k) = N(n, k) + beta^2 P(n, k-2), and
-  keeps only a float table of (g0, g1, condition).  The single
+  incomplete-gamma terms.  One multiprecision build per beta runs a
+  two-term recursion in which every term is positive, P(n+1, k) =
+  P(n, k) + beta^2 N(n, k-2) and N(n+1, k) = N(n, k) + beta^2 P(n, k-2),
+  and keeps only a float table of (g0, g1, condition).  The single
   subtraction P - N is the one cancellation left; it grows with n and
-  beta, and the routine refuses to answer once fewer than 16
-  significant digits would survive.
+  beta, and the build starts at 50 digits and doubles them until every
+  sum keeps 16, so the route answers every state.
 * ``weights_gg_quadrature`` — read from one vectorized log-space kernel
   that integrates the unimodal V(n, k) integrand with Newton-located
   cut-offs and Gauss-Legendre nodes, returning log V(n, k) and
@@ -44,11 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NumericalError, PrecisionLossError,
-                     UnsupportedParameterError)
+from .errors import DomainError, NumericalError, UnsupportedParameterError
 from .specfun import gen_factorial_coeff_log_table
 
-_MP_DPS = 50  # working precision of the exact route, in decimal digits
+_MP_DPS = 50  # the exact route's least working precision, in decimal digits
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +135,37 @@ def weights_pd(n: int, k: int, params: PDParams) -> WeightPair:
 
 
 # ---------------------------------------------------------------------------
-# Exact route: a positive two-term recursion in 50-digit arithmetic
+# Exact route: a positive two-term recursion in multiprecision
 
 _exact_tables = {}  # beta -> rows, rows[n - 1][k - 1] = (g0, g1, condition)
 
 
 def _exact_rows(n: int, beta: float):
     """Float rows (g0, g1, condition) for the states 1 <= k <= n' <= top,
-    top >= n, from one 50-digit build per beta; a larger n rebuilds them
-    to at least twice the old top.  No 50-digit value outlives a build.
+    top >= n; a larger n rebuilds them to at least twice the old top.
+    A state keeps its value from the first working precision, doubling
+    from _MP_DPS, that leaves it 16 significant digits after its
+    condition and the downward Gamma(-m; beta) recursion's error growth,
+    about beta^m / m! at its peak m = floor(beta)."""
+    rows = _exact_tables.get(beta, [])
+    if n <= len(rows):
+        return rows
+    m = math.floor(beta)
+    spare = 16 + m * math.log10(beta) - math.lgamma(m + 1) / math.log(10)
+    top, dps = max(n, 64, 2 * len(rows)), max(_MP_DPS, math.ceil(spare))
+    rows = _exact_build(top, beta, dps)
+    while max(c for row in rows for *_, c in row) > dps - spare:
+        rows = [[old if old[2] <= dps - spare else new
+                 for old, new in zip(*pair)]
+                for pair in zip(rows, _exact_build(top, beta, 2 * dps))]
+        dps *= 2
+    _exact_tables[beta] = rows
+    return rows
+
+
+def _exact_build(top: int, beta: float, dps: int):
+    """Float rows (g0, g1, condition) for 1 <= k <= n <= top from one
+    build at ``dps`` decimal digits; no multiprecision value outlives it.
 
     V(n, k) at alpha = 1/2 is, up to the prefactor alpha^(k-1) e^beta /
     Gamma(n), S(n, k) = sum_s binom(n-1, s) (-1)^s beta^(2s)
@@ -161,12 +182,8 @@ def _exact_rows(n: int, beta: float):
     log10(max(P, N)/|P - N|) (inf, with a NaN sum, when it is not > 0).
     """
     import mpmath as mp
-    rows = _exact_tables.get(beta, [])
-    if n <= len(rows):
-        return rows
-    top = max(n, 64, 2 * len(rows))
     rows, prev = [], None
-    with mp.workdps(_MP_DPS):
+    with mp.workdps(dps):
         b = mp.mpf(beta)
         eb, b2 = mp.exp(-b), b ** 2
         up, down = [eb], [mp.e1(b)]  # Gamma(1), Gamma(2), ...; Gamma(0), ...
@@ -195,22 +212,15 @@ def _exact_rows(n: int, beta: float):
                              for (den, cd), (num1, c1), (num0, c0)
                              in zip(prev, sums, sums[1:])])
             prev = sums
-    _exact_tables[beta] = rows
     return rows
 
 
-def weights_gg_exact(n: int, k: int, params: GGParams,
-                     max_condition: float = _MP_DPS - 16) -> WeightPair:
+def weights_gg_exact(n: int, k: int, params: GGParams) -> WeightPair:
     """Predictive weights g0 = S(n+1, k+1)/(2n S(n, k)) and
     g1 = S(n+1, k)/(n S(n, k)) from the incomplete-gamma sums S of
-    ``_exact_rows``, built by a recursion of positive terms in 50-digit
-    fixed precision.  The one subtraction, S = P - N, cancels as n or
-    beta grows; the condition estimate is the most decimal digits it
-    lost in the three sums.
-
-    Requires alpha = 1/2.  Raises PrecisionLossError when the estimated
-    cancellation exceeds ``max_condition`` decimal digits; the default
-    keeps at least 16 significant digits of the working precision.
+    ``_exact_rows``, each kept to 16 significant digits or more; the
+    condition estimate is the most decimal digits their one
+    subtraction, S = P - N, cancelled.  Requires alpha = 1/2.
     """
     _check_nk(n, k)
     if params.alpha != 0.5:
@@ -219,11 +229,6 @@ def weights_gg_exact(n: int, k: int, params: GGParams,
     if params.a == 0.0:
         return _weights_stable(n, k, params.alpha)
     g0, g1, condition = _exact_rows(n, params.beta)[n - 1][k - 1]
-    if condition > max_condition:
-        raise PrecisionLossError(
-            f"alternating sums cancelled {condition:.1f} decimal digits "
-            f"(threshold {max_condition}); use the quadrature route",
-            condition_estimate=condition)
     return WeightPair(g0=g0, g1=g1, condition_estimate=condition)
 
 
@@ -439,13 +444,20 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # EPPF
 
+def _check_block_sizes(sizes, error=DomainError) -> None:
+    """Raise ``error`` unless ``sizes`` is a nonempty list of positive
+    integers (integer-valued floats included; not nan or inf): the one
+    rule for the block sizes every partition and particle routine takes."""
+    if not sizes or any(s < 1 or s % 1 for s in sizes):
+        raise error("block sizes must be a nonempty list of positive "
+                    "integers")
+
+
 def eppf_log(block_sizes, params: GGParams) -> float:
     """Log probability of an unordered block-size configuration:
     log V(n, k) + sum_j log (1 - alpha)_(n_j - 1)."""
     sizes = list(block_sizes)
-    if not sizes or any((s < 1 or s != int(s)) for s in sizes):
-        raise DomainError("block sizes must be a nonempty list of positive "
-                          "integers")
+    _check_block_sizes(sizes)
     alpha = params.alpha
     log_poch = sum(math.lgamma(s - alpha) for s in sizes)
     return (log_v(int(sum(sizes)), len(sizes), params) + log_poch

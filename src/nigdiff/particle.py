@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, weights_batch
+from .gibbs import GGParams, _check_block_sizes, weights_batch
 from .urn import PartitionState, sample_partition
 
 
@@ -248,9 +248,8 @@ def moran_phi2_drift(block_sizes, params) -> float:
     oracle for both the simulator and the generator formula.
     """
     from collections import Counter
-    sizes = [int(c) for c in block_sizes]
-    if any(c < 1 for c in sizes):
-        raise DomainError("block sizes must be positive")
+    sizes = list(block_sizes)
+    _check_block_sizes(sizes)
     n = sum(sizes)
     if n < 2:
         raise DomainError("need at least two particles")
@@ -324,7 +323,8 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
     ``embedding`` selects how the event index is attached to continuous
     time: "discrete" reads the floor of the rescaled time (one event per
     unit), "exponential" uses unit-rate exponential holding times, i.e.
-    a Poisson number of events per unit of rescaled time.
+    a Poisson number of events per unit of rescaled time, from one
+    Poisson process read at the targets of both clocks.
     """
     grid = tuple(sorted(float(t) for t in t_grid))
     if not grid or grid[0] < 0:
@@ -337,8 +337,10 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
         k_idx = [int(math.floor(u)) for u in k_targets]
         f_idx = [int(math.floor(u)) for u in f_targets]
     elif embedding == "exponential":
-        k_idx = _poisson_indices(k_targets, rng)
-        f_idx = _poisson_indices(f_targets, rng)
+        targets = sorted(set(k_targets + f_targets))
+        counts = dict(zip(targets, _poisson_indices(targets, rng)))
+        k_idx = [counts[u] for u in k_targets]
+        f_idx = [counts[u] for u in f_targets]
     else:
         raise DomainError(f"unknown embedding {embedding!r}")
 

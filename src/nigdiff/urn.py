@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, PDParams, _g0_rows
+from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_rows
 
 _STEP_BLOCK = 64  # urn steps per evaluator row
 # sample_partition's blocks, each over a band of _STEP_BLOCK block counts
@@ -35,8 +35,7 @@ class PartitionState:
     block_sizes: list = field(default_factory=lambda: [1])
 
     def __post_init__(self):
-        if not self.block_sizes or any(s < 1 for s in self.block_sizes):
-            raise DomainError("block sizes must be positive")
+        _check_block_sizes(self.block_sizes)
 
     @property
     def n(self) -> int:
@@ -55,13 +54,7 @@ class PartitionState:
         return profile
 
     def validate(self) -> None:
-        if any(s < 1 for s in self.block_sizes):
-            raise InternalConsistencyError("nonpositive block size")
-        profile = self.multiplicity_profile
-        if sum(profile.values()) != self.K:
-            raise InternalConsistencyError("multiplicity profile broken")
-        if sum(j * m for j, m in profile.items()) != self.n:
-            raise InternalConsistencyError("multiplicity profile broken")
+        _check_block_sizes(self.block_sizes, InternalConsistencyError)
 
     def shape(self) -> tuple:
         """Canonical (sorted descending) block-size tuple."""

@@ -50,7 +50,7 @@ def test_criterion_01_predictive_constraint(report):
         params = GGParams.from_beta(beta)
         for n in range(1, 51):
             for k in range(1, n + 1):
-                w = weights_gg_exact(n, k, params, max_condition=1e9)
+                w = weights_gg_exact(n, k, params)
                 worst_exact = max(worst_exact, abs(
                     w.g0 + (n - 0.5 * k) * w.g1 - 1.0))
         for n in range(2, 201):

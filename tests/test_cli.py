@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -154,7 +155,8 @@ def test_gg_only_experiments_refuse_pd_params(tmp_path, capsys, experiment,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("experiment", ["sde", "boundary"])
+@pytest.mark.parametrize("experiment", ["sde", "boundary", "particles",
+                                        "conditioned", "generator-check"])
 def test_alpha_half_diffusion_experiments_refuse_other_alpha(
         tmp_path, capsys, experiment):
     path = tmp_path / "cfg.json"
@@ -163,6 +165,18 @@ def test_alpha_half_diffusion_experiments_refuse_other_alpha(
                  "--out", str(tmp_path / "o")]) == 2
     assert experiment in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["particles", "conditioned"])
+def test_alpha_half_experiments_take_poisson_dirichlet_at_alpha_half(
+        tmp_path, experiment):
+    path = tmp_path / "cfg.json"
+    for params, code in (({"theta": 1.0, "alpha": 0.5}, 0),
+                         ({"theta": 1.0}, 2)):  # alpha = 0 by default
+        path.write_text(json.dumps({**SMALL[experiment][0],
+                                    "params": params}))
+        assert main([experiment, "--seed", "1", "--config", str(path),
+                     "--out", str(tmp_path / str(code))]) == code
 
 
 def test_chain_off_alpha_half_uses_the_alpha_clock_and_starts_at_s_1(
@@ -288,6 +302,23 @@ def test_weights_off_alpha_half_runs_only_the_quadrature_route(tmp_path):
         ("20", "20")]
     assert {r[2] for r in rows} == {"quadrature"}
     assert all(abs(float(r[6])) < 1e-12 for r in rows)
+
+
+def test_weights_answers_every_exact_state(tmp_path):
+    # at (120, 1) and beta = 10 the sums cancel 48.6 digits, more than
+    # 50 digits can spare; the exact route answers at a higher precision
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ns": [120], "ks": [1],
+                                "params": {"beta": 10}}))
+    assert main(["weights", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = {r[2]: r for r in (line.split(",") for line in (
+        tmp_path / "o" / "weights.csv").read_text().splitlines()[1:])}
+    exact, quadrature = rows["exact"], rows["quadrature"]
+    assert math.isfinite(float(exact[3])) and math.isfinite(float(exact[4]))
+    assert float(exact[3]) == pytest.approx(float(quadrature[3]), rel=1e-12)
+    assert float(exact[5]) > 34.0
+    assert abs(float(exact[6])) < 1e-12
 
 
 def test_figure1_keys_each_stream_on_the_position_of_its_beta(tmp_path):

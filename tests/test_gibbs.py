@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nigdiff import gibbs
-from nigdiff.errors import (DomainError, PrecisionLossError,
-                            UnsupportedParameterError)
+from nigdiff.errors import DomainError, UnsupportedParameterError
 from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
                            conditional_phi2_mean, eppf, eppf_log,
                            integer_partitions, log_v, m1_factorial_moment,
@@ -65,7 +64,7 @@ def test_exact_vs_quadrature(beta):
     params = gg(beta)
     for n in range(1, 51):
         for k in range(1, n + 1):
-            we = weights_gg_exact(n, k, params, max_condition=45.0)
+            we = weights_gg_exact(n, k, params)
             wq = weights_gg_quadrature(n, k, params)
             assert we.g0 == pytest.approx(wq.g0, rel=1e-12)
             assert we.g1 == pytest.approx(wq.g1, rel=1e-12)
@@ -76,13 +75,13 @@ def test_exact_constraint_identity(beta):
     params = gg(beta)
     for n in range(1, 51):
         for k in range(1, n + 1):
-            w = weights_gg_exact(n, k, params, max_condition=1e9)
+            w = weights_gg_exact(n, k, params)
             assert abs(w.g0 + (n - 0.5 * k) * w.g1 - 1.0) < 1e-12
 
 
 def test_exact_default_threshold_answers_ill_conditioned_pairs():
-    # these pairs cancel 17 and 13 digits of the 50 carried, and the
-    # default threshold still keeps 16 significant digits
+    # these pairs cancel 17 and 13 digits of the 50 carried, which
+    # still keep 16 significant digits
     for n, k, beta in ((50, 1, 10.0), (50, 7, 2.0)):
         we = weights_gg_exact(n, k, gg(beta))
         wq = weights_gg_quadrature(n, k, gg(beta))
@@ -94,9 +93,6 @@ def test_exact_default_threshold_answers_ill_conditioned_pairs():
 def test_exact_route_contracts():
     with pytest.raises(UnsupportedParameterError):
         weights_gg_exact(5, 2, GGParams(a=1.0, alpha=0.3))
-    with pytest.raises(PrecisionLossError) as err:
-        weights_gg_exact(50, 1, gg(10.0), max_condition=1.0)
-    assert err.value.condition_estimate > 1.0
     with pytest.raises(DomainError):
         weights_gg_exact(5, 6, gg(1.0))
 
@@ -107,8 +103,8 @@ EXACT_SAMPLE = [(n, k) for n in (1, 2, 3, 4, 9, 16, 25, 36, 49, 50)
                 if 1 <= k <= n]
 
 
-def _exact_triple(n, k, params, max_condition=1e9):
-    w = weights_gg_exact(n, k, params, max_condition=max_condition)
+def _exact_triple(n, k, params):
+    w = weights_gg_exact(n, k, params)
     return w.g0, w.g1, w.condition_estimate
 
 
@@ -122,8 +118,9 @@ def test_exact_matches_direct_alternating_sum(beta, monkeypatch):
 
 
 def test_exact_table_does_not_depend_on_its_growth(monkeypatch):
-    # cold n = 3 first (a 64 table, then regrown to 128 by n = 100), and
-    # cold n = 100 first (a 100 table): the same bits either way
+    # cold n = 3 first (a 64 table, then regrown to 128 by n = 100, which
+    # 50 digits do not resolve), and cold n = 100 first (a 100 table, all
+    # at 50 digits): the same bits either way
     params, runs = gg(2.0), []
     for order in ((3, 50, 100), (100, 50, 3)):
         monkeypatch.setattr(gibbs, "_exact_tables", {})
@@ -136,20 +133,35 @@ def test_exact_table_does_not_depend_on_its_growth(monkeypatch):
         assert got == direct_exact_weights(n, k, 2.0)
 
 
-@pytest.mark.parametrize("max_condition", [1.0, 12.0])
-def test_exact_refuses_where_the_direct_sums_cancel(max_condition):
-    refused = 0
-    for beta in BETAS:
-        for n, k in EXACT_SAMPLE:
-            want = direct_exact_weights(n, k, beta)
-            if want[2] <= max_condition:
-                assert _exact_triple(n, k, gg(beta), max_condition) == want
-                continue
-            refused += 1
-            with pytest.raises(PrecisionLossError) as err:
-                weights_gg_exact(n, k, gg(beta), max_condition=max_condition)
-            assert err.value.condition_estimate == want[2]
-    assert refused > 0
+@pytest.mark.parametrize("beta", (2.0, 10.0))
+def test_exact_answers_where_fifty_digits_cancel(beta, monkeypatch):
+    # every state with n <= 128, those from n = 105 on at beta = 2 and
+    # from n = 79 on at beta = 10 included: there 50 digits keep fewer
+    # than 16 significant digits, so the table is rebuilt at 100
+    monkeypatch.setattr(gibbs, "_exact_tables", {})
+    params, lost = gg(beta), 0.0
+    for n in range(1, 129):
+        for k in range(1, n + 1):
+            we = weights_gg_exact(n, k, params)
+            wq = weights_gg_quadrature(n, k, params)
+            assert we.g0 == pytest.approx(wq.g0, rel=1e-12), (n, k)
+            assert we.g1 == pytest.approx(wq.g1, rel=1e-12), (n, k)
+            lost = max(lost, we.condition_estimate)
+    assert 50.0 - 16.0 < lost < math.inf
+
+
+@pytest.mark.parametrize("beta", (100.0, 300.0))
+def test_exact_counts_the_error_growth_of_its_gamma_recursion(beta):
+    # the downward recursion for Gamma(-m; beta) multiplies errors by
+    # about beta^m / m!, 42 digits at beta = 100 and 129 at 300: 50
+    # digits left g0(20, 3) at beta = 100 3e-6 off although its sums
+    # cancel only 23, and turned some of beta = 300's sums negative
+    params = gg(beta)
+    for n, k in ((1, 1), (20, 3), (30, 30)):
+        we = weights_gg_exact(n, k, params)
+        wq = weights_gg_quadrature(n, k, params)
+        assert we.g0 == pytest.approx(wq.g0, rel=1e-12), (n, k)
+        assert we.g1 == pytest.approx(wq.g1, rel=1e-12), (n, k)
 
 
 def test_stable_closed_form():

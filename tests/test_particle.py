@@ -404,3 +404,30 @@ def test_simulate_rescaled_embeddings_and_errors(rng):
         simulate_rescaled(sys_, (-1.0, 0.0), params, rng)
     with pytest.raises(DomainError):
         simulate_rescaled(sys_, (0.0,), params, rng, embedding="bogus")
+
+
+@pytest.mark.parametrize("embedding", ["discrete", "exponential"])
+def test_both_clocks_read_one_event_stream(embedding):
+    # at n = 4 the clocks coincide, n^(3/2) = n^2 / 2 = 8, so the K
+    # snapshot and the frequency snapshot at each time see one state
+    params = GGParams.from_beta(2.0)
+    grid = [0.5 * i for i in range(1, 21)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        sys_ = ParticleSystem.initialize(4, params, rng)
+        path = simulate_rescaled(sys_, grid, params, rng, top=4,
+                                 embedding=embedding)
+        assert ([round(k * 2) for k in path.k_rescaled]
+                == [len(f) for f in path.frequencies]), seed
+
+
+def test_block_sizes_must_be_positive_integers(rng):
+    # the rule eppf_log applies, for the partition state and both
+    # particle routines that take block sizes
+    for sizes in ([2.5, 1], [3, 1.5], [2, math.inf], [math.nan, 1]):
+        with pytest.raises(DomainError):
+            PartitionState(block_sizes=sizes)
+        with pytest.raises(DomainError):
+            conditioned_phi2_average(sizes, 100, 0.5, rng)
+        with pytest.raises(DomainError):
+            moran_phi2_drift(sizes, GGParams.from_beta(2.0))
