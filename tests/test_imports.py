@@ -45,7 +45,7 @@ nigdiff.cli.run("generator-check", {"n": 20, "paths": 20, "h": 0.02}, 1,
 assert scipy_modules() == [], scipy_modules()
 assert "mpmath" not in sys.modules
 
-weights_gg_exact(120, 1, GGParams.from_beta(10.0))  # built at 100 digits
+weights_gg_exact(20, 3, GGParams.from_beta(100.0))  # at 59, then 118 digits
 assert "mpmath" in sys.modules
 assert scipy_modules() == [], scipy_modules()
 
