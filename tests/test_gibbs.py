@@ -1,5 +1,5 @@
 """Predictive weights, partition probabilities and singleton-count law,
-cross-checked between independent routes (the 50-digit exact route and
+cross-checked between independent routes (the multiprecision exact route and
 its direct alternating-sum reference, the Gauss-Legendre weight kernel,
 the adaptive-quadrature oracle, enumeration, urn draws)."""
 
