@@ -6,8 +6,9 @@ Usage: nigdiff <experiment> [--config file.json] [--seed N] [--out dir]
 ``EXPERIMENT_TABLE`` declares each experiment's runner, the params it
 reads and its config keys with their defaults.  Besides those keys a
 config may carry ``schema_version``, ``experiment``, ``seed`` and
-``format``; any other key, or params keys outside (theta, alpha), (beta,
-tau, alpha) and (a, tau, alpha), exit 2 before any file is written.
+``format``; any other key, params keys outside (theta, alpha), (beta,
+tau, alpha) and (a, tau, alpha), a non-integer for an integer key or a
+boolean for a numeric one exit 2 before any file is written.
 Every run writes its data files plus ``manifest.json``: schema and
 package versions, seed, SHA-256 of every file and the resolved config,
 every declared key at the value used and the params with their defaults
@@ -54,12 +55,27 @@ def _resolve_params(raw):
         (GGParams.from_beta, {"tau": 1.0, "alpha": 0.5}) if "beta" in raw
         else (GGParams, {"a": 1.0, "tau": 1.0, "alpha": 0.5}))
     try:
-        resolved = {**defaults, **{k: float(v) for k, v in raw.items()}}
+        resolved = {**defaults,
+                    **{k: _coerce(k, v, 0.0) for k, v in raw.items()}}
         return make(**resolved), resolved
     except TypeError:
         raise UsageError(f"params keys {sorted(raw)} are not one of (theta, "
                          "alpha), (beta, tau, alpha) or (a, tau, alpha)"
                          ) from None
+
+
+def _coerce(key, value, default):
+    """A given numeric value, never a boolean: a float for a float default,
+    an integer (200.0 counts) for an int default, k0 and burn_in."""
+    integral = isinstance(default, int) or (
+        key in ("k0", "burn_in") and value is not None)
+    if not (integral or isinstance(default, float)):
+        return value
+    if isinstance(value, bool) or integral and not (isinstance(
+            value, int) or isinstance(value, float) and value.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise UsageError(f"{key} must be {kind}, not {value!r}")
+    return int(value) if integral else float(value)
 
 
 def _rng(seed: int, replicate: int = 0) -> np.random.Generator:
@@ -140,7 +156,7 @@ def _exp_chain(cfg, params, seed):
                          "params (a, tau, alpha or beta)")
     if cfg["k0"] is None:  # start at s = k/n^alpha = 1
         cfg["k0"] = max(1, round(cfg["n"] ** params.alpha))
-    path = diffusion.simulate_chain(cfg["n"], cfg["steps"], int(cfg["k0"]),
+    path = diffusion.simulate_chain(cfg["n"], cfg["steps"], cfg["k0"],
                                     params, _rng(seed), mode=cfg["mode"],
                                     record_every=cfg["record_every"])
     return {"chain": _path_table(path, cfg["record_every"])}
@@ -194,8 +210,7 @@ def _exp_conditioned(cfg, params, seed):
         k = max(1, min(n, round(float(s) * math.sqrt(n))))
         sizes = particle.balanced_sizes(n, k)
         avg = particle.conditioned_phi2_average(
-            sizes, cfg["steps"], params.alpha, rng,
-            burn_in=int(cfg["burn_in"]))
+            sizes, cfg["steps"], params.alpha, rng, burn_in=cfg["burn_in"])
         theta = float(s) ** 2 / 4.0
         oracle = (1.0 - params.alpha) / (theta + 1.0)
         exact = gibbs.conditional_phi2_mean(n, k, params.alpha)
@@ -260,10 +275,10 @@ def _exp_generator_check(cfg, params, seed):
 # name: (runner, params read: "any", "gg" (generalized-gamma only, for
 # formulas in V or beta), "half" (any at alpha = 1/2, for the alpha = 1/2
 # scaling), "nig" (generalized gamma at alpha = 1/2) or "none",
-# {config key: default}).  A given value is coerced to an int or float
-# default's type.  The runner works out a None default from the other
-# inputs and writes it back, but ks stays None: {1, isqrt(n), n} for
-# each n.
+# {config key: default}).  A given value for an int or float default is
+# read by ``_coerce``.  The runner works out a None default from the
+# other inputs and writes it back, but ks stays None: {1, isqrt(n), n}
+# for each n.
 EXPERIMENT_TABLE = {
     "weights": (_exp_weights, "any", {"ns": [5, 10, 20, 50], "ks": None}),
     "eppf-check": (_exp_eppf_check, "gg", {"n": 6, "replicates": 100_000}),
@@ -329,10 +344,8 @@ def run(experiment: str, cfg: dict, seed: int, out_dir: str,
     if unknown := sorted(set(cfg) - keys):
         raise UsageError(f"{experiment} takes no key {', '.join(unknown)}; "
                          f"its keys are {', '.join(sorted(keys))}")
-    resolved = {key: type(default)(cfg[key])
-                if key in cfg and isinstance(default, (int, float))
-                else cfg.get(key, default)
-                for key, default in defaults.items()}
+    resolved = {key: _coerce(key, cfg[key], default) if key in cfg
+                else default for key, default in defaults.items()}
     params = None
     if reads != "none":
         params, resolved["params"] = _resolve_params(cfg.get("params", {}))

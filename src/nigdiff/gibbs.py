@@ -25,9 +25,11 @@ Two routes are provided for the generalized-gamma predictive weights
 The same kernel backs ``log_v``, which scalar callers read, like
 ``weights_gg_quadrature``, from one table of n-rows per parameter set,
 and ``weights_batch``, which evaluates arrays of states for every
-engine and alone dispatches on the parameter type.  The urns read one
-evaluator row per block of steps and fill in the rows below it by the
-positive recursion of the Gibbs triangle,
+engine, alone dispatches on the parameter type and alone writes the
+closed forms, which ``weights_pd`` and the a = 0 scalar routes read.
+Every engine table passes one row check, ``_check_weight_row``.  The
+urns read one evaluator row per block of steps and fill in the rows
+below it by the positive recursion of the Gibbs triangle,
 V(n, k) = (n - alpha*k) V(n+1, k) + V(n+1, k+1).
 
 The partition laws (EPPF, singleton-count law and its factorial
@@ -44,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UnsupportedParameterError
+from .errors import (DomainError, InternalConsistencyError, NumericalError,
+                     UnsupportedParameterError)
 from .specfun import gen_factorial_coeff_log_table
 
 _MP_DPS = 50  # the exact route's least working precision, in decimal digits
@@ -129,9 +132,13 @@ def _check_nk(n: int, k: int) -> None:
 def weights_pd(n: int, k: int, params: PDParams) -> WeightPair:
     """g0 = (theta + alpha*k)/(theta + n), g1 = 1/(theta + n)."""
     _check_nk(n, k)
-    denom = params.theta + n
-    return WeightPair(g0=(params.theta + params.alpha * k) / denom,
-                      g1=1.0 / denom, condition_estimate=0.0)
+    return _closed_form(n, k, params)
+
+
+def _closed_form(n: int, k: int, params) -> WeightPair:
+    """One state of a closed form of ``weights_batch``."""
+    g0, g1 = weights_batch(n, k, params)
+    return WeightPair(g0=float(g0), g1=float(g1))
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +234,9 @@ def weights_gg_exact(n: int, k: int, params: GGParams) -> WeightPair:
         raise UnsupportedParameterError(
             "exact route supports alpha = 1/2 only; use the quadrature route")
     if params.a == 0.0:
-        return _weights_stable(n, k, params.alpha)
+        return _closed_form(n, k, params)
     g0, g1, condition = _exact_rows(n, params.beta)[n - 1][k - 1]
     return WeightPair(g0=g0, g1=g1, condition_estimate=condition)
-
-
-def _weights_stable(n: int, k: int, alpha: float) -> WeightPair:
-    """Normalized-stable (a = 0) closed form: g0 = alpha*k/n, g1 = 1/n."""
-    return WeightPair(g0=alpha * k / n, g1=1.0 / n, condition_estimate=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,7 @@ def weights_gg_quadrature(n: int, k: int, params: GGParams) -> WeightPair:
     and g0 = 1 - (1 - alpha*k/n) w."""
     _check_nk(n, k)
     if params.a == 0.0:
-        return _weights_stable(n, k, params.alpha)
+        return _closed_form(n, k, params)
     w = float(_row(n, k, params)[1][k - 1])
     return WeightPair(g0=1.0 - (1.0 - params.alpha * k / n) * w, g1=w / n)
 
@@ -388,11 +390,10 @@ def _asymptotic(n, k, params: GGParams):
 
 def weights_batch(n_arr, k_arr, params):
     """(g0, g1) arrays in the broadcast shape of the two state arrays
-    (scalars included), unclipped:
-    the closed form g0 = (theta + alpha*k)/(theta + n), g1 = 1/(theta + n)
-    for Poisson-Dirichlet params, in the operation order of
-    ``weights_pd``; for generalized-gamma params the kernel's g1 = w/n
-    and g0 = 1 - (1 - alpha*k/n) w, or the a = 0 closed form."""
+    (scalars included), unchecked: for Poisson-Dirichlet params the closed
+    form g0 = (theta + alpha*k)/(theta + n), g1 = 1/(theta + n); for
+    generalized-gamma params the kernel's g1 = w/n and g0 = 1 - (1 -
+    alpha*k/n) w, or the closed form g0 = alpha*k/n, g1 = 1/n at a = 0."""
     n, k = np.broadcast_arrays(np.asarray(n_arr, dtype=float),
                                np.asarray(k_arr, dtype=float))
     if np.any((k < 1) | (k > n)):
@@ -408,14 +409,26 @@ def weights_batch(n_arr, k_arr, params):
     return 1.0 - (1.0 - params.alpha * k / n) * w, w / n
 
 
+def _check_weight_row(m, k, g0, g1, alpha: float) -> None:
+    """The engines' one row check: 0 <= g0 <= 1 and g0 + g1 (m - alpha*k)
+    = 1 within 1e-9 at every state, else ``InternalConsistencyError``."""
+    m, k, g0, g1 = np.broadcast_arrays(m, k, g0, g1)
+    total = g0 + g1 * (m - alpha * k)
+    bad = ~((np.abs(total - 1.0) <= 1e-9) & (0.0 <= g0) & (g0 <= 1.0))
+    if bad.any():
+        raise InternalConsistencyError(
+            f"g0 = {g0[bad][0]!r} and g0 + g1 (m - alpha k) = "
+            f"{total[bad][0]!r} at m = {m[bad][0]:g}, k = {k[bad][0]:g}")
+
+
 def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     """g0(m, k) at rows[m - m0, k - lo] for m0 <= m <= m1 and
     lo <= k <= min(m, hi + m - m0), the states an urn at m0 with block
     counts in [lo, hi] can reach by step m1 (nan elsewhere), from one
     evaluator row and a downward recursion of positive terms.
 
-    Row m1 is the evaluator's g0, clipped to [0, 1], over
-    k = lo..min(m1, hi + m1 - m0).  The Gibbs triangle
+    Row m1 is the evaluator's g0 over k = lo..min(m1, hi + m1 - m0),
+    checked by ``_check_weight_row``.  The Gibbs triangle
     V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
     rho(m, k) = V(m, k+1)/V(m, k) and d(m, k) = V(m, k)/V(m+1, k),
 
@@ -428,7 +441,7 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     """
     k = np.arange(lo, min(m1, hi + m1 - m0) + 1.0)
     g0, g1 = weights_batch(m1, k, params)
-    g0 = np.clip(g0, 0.0, 1.0)
+    _check_weight_row(m1, k, g0, g1, params.alpha)
     rows = np.full((m1 - m0 + 1, k.size), np.nan)
     rows[-1] = g0
     ak = params.alpha * k

@@ -11,8 +11,9 @@ probability (n_t - alpha)/n_t, which makes every event O(1) regardless
 of the number of types.  The conditioned variant takes g0 := [the
 removed particle was a singleton], so K never changes.  The free
 variant reads g0(n-1, k_r), k_r = 1..n-1, from one table built from one
-row of the batch weight evaluator (``gibbs.weights_batch``) and checked
-against the Gibbs constraint before any event runs.
+row of the batch weight evaluator (``gibbs.weights_batch``) and passed
+through the engines' one row check (``gibbs._check_weight_row``) before
+any event runs.
 
 The dynamics run on one engine, compiled C (``_kernels.c``, built by
 gcc on the first call in a process) on flat int32 arrays of type slots
@@ -37,7 +38,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, _check_block_sizes, weights_batch
+from .gibbs import (GGParams, _check_block_sizes, _check_weight_row,
+                    weights_batch)
 from .urn import PartitionState, sample_partition
 
 
@@ -104,19 +106,11 @@ class ParticleSystem:
 
 
 def _g0_table(n: int, params) -> np.ndarray:
-    """g0(n-1, k) for k = 1..n-1 from one evaluator row, each entry
-    checked before any use: the replacement probabilities
-    g0 + g1 (n - 1 - alpha k) of a state with k types left sum to one."""
-    m = n - 1
+    """g0(n-1, k) for k = 1..n-1 from one evaluator row, checked by
+    ``gibbs._check_weight_row`` before any use."""
     k = np.arange(1, n)
-    g0, g1 = weights_batch(m, k, params)
-    total = g0 + g1 * (m - params.alpha * k)
-    bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-9))
-    if bad.size:
-        j = bad[0]
-        raise InternalConsistencyError(
-            f"replacement probabilities sum to {total[j]!r} at n={n}, "
-            f"k={j + 1}")
+    g0, g1 = weights_batch(n - 1, k, params)
+    _check_weight_row(n - 1, k, g0, g1, params.alpha)
     return g0
 
 
@@ -259,6 +253,7 @@ def moran_phi2_drift(block_sizes, params) -> float:
     # the types left after a removal: k, or k - 1 when a singleton went
     k_left = sorted({k - 1 if c_j == 1 else k for c_j in counts})
     g0s, g1s = weights_batch(n - 1, k_left, params)
+    _check_weight_row(n - 1, k_left, g0s, g1s, alpha)
     weights = dict(zip(k_left, zip(g0s.tolist(), g1s.tolist())))
     total = 0.0
     for c_j, mult in counts.items():
@@ -331,54 +326,30 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
         raise DomainError("t_grid must be nonempty and nonnegative")
     n = sys0.n
     # fast clock: floor(n^(3/2) t); slow clock: floor(n^2 t / 2)
-    k_targets = [t * n ** 1.5 for t in grid]
-    f_targets = [t * n * n / 2.0 for t in grid]
+    targets = [t * n ** 1.5 for t in grid] + [t * n * n / 2.0 for t in grid]
     if embedding == "discrete":
-        k_idx = [int(math.floor(u)) for u in k_targets]
-        f_idx = [int(math.floor(u)) for u in f_targets]
-    elif embedding == "exponential":
-        targets = sorted(set(k_targets + f_targets))
-        counts = dict(zip(targets, _poisson_indices(targets, rng)))
-        k_idx = [counts[u] for u in k_targets]
-        f_idx = [counts[u] for u in f_targets]
+        idx = [int(math.floor(u)) for u in targets]
+    elif embedding == "exponential":  # N(u) of one unit-rate process
+        points = sorted(set(targets))
+        steps = rng.poisson(np.diff(points, prepend=0.0))
+        count = dict(zip(points, np.cumsum(steps).tolist()))
+        idx = [count[u] for u in targets]
     else:
         raise DomainError(f"unknown embedding {embedding!r}")
 
-    k_set, f_set = set(k_idx), set(f_idx)
-    k_snap = {}
-    f_snap = {}
-    phi_snap = {}
-    current = 0
-    sqrt_n = math.sqrt(n)
+    snaps, current = {}, 0  # index -> (K/sqrt(n), frequencies, phi(2))
     g0 = _g0_table(n, params)
     uniforms = UniformStream(rng)
-    for idx in sorted(k_set | f_set):
-        if idx > current:
-            particle_run(sys0.slots, sys0.counts, idx - current,
+    for i in sorted(set(idx)):
+        if i > current:
+            particle_run(sys0.slots, sys0.counts, i - current,
                          params.alpha, uniforms, g0=g0)
-            current = idx
-        if idx in k_set:
-            k_snap[idx] = sys0.K / sqrt_n
-        if idx in f_set:
-            f_snap[idx] = sys0.ordered_frequencies(top)
-            phi_snap[idx] = sys0.phi(2)
+            current = i
+        snaps[i] = (sys0.K / math.sqrt(n), sys0.ordered_frequencies(top),
+                    sys0.phi(2))
+    k_idx, f_idx = idx[:len(grid)], idx[len(grid):]
     return RescaledPath(
         grid=grid,
-        k_rescaled=tuple(k_snap[i] for i in k_idx),
-        frequencies=tuple(f_snap[i] for i in f_idx),
-        phi2=tuple(phi_snap[i] for i in f_idx))
-
-
-def _poisson_indices(targets, rng: np.random.Generator):
-    """Monotone event counts N(u) of a unit-rate Poisson process sampled
-    at the (sorted) points u in ``targets``."""
-    idx = []
-    prev_u = 0.0
-    count = 0
-    for u in targets:
-        if u < prev_u:
-            raise DomainError("targets must be sorted")
-        count += int(rng.poisson(u - prev_u))
-        prev_u = u
-        idx.append(count)
-    return idx
+        k_rescaled=tuple(snaps[i][0] for i in k_idx),
+        frequencies=tuple(snaps[i][1] for i in f_idx),
+        phi2=tuple(snaps[i][2] for i in f_idx))

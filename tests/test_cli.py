@@ -288,6 +288,37 @@ def test_manifest_config_reproduces_every_data_file(tmp_path, experiment):
         assert _sha(tmp_path / "b" / name) == digest
 
 
+@pytest.mark.parametrize("experiment, cfg", [
+    ("chain", {"n": 20.7, "steps": 5}),      # int key, non-integral float
+    ("chain", {"steps": True}),              # int key, boolean
+    ("chain", {"steps": 5, "k0": 3.5}),      # derived int key
+    ("conditioned", {"n": 50, "s_values": [1.0], "steps": 100,
+                     "burn_in": 10.5}),      # derived int key
+    ("sde", {"steps": 5, "dt": True}),       # float key, boolean
+    ("chain", {"steps": 5, "params": {"beta": True}}),  # params, boolean
+], ids=["n-float", "steps-bool", "k0-float", "burn_in-float", "dt-bool",
+        "params-bool"])
+def test_numeric_keys_refuse_truncation_and_booleans(tmp_path, capsys,
+                                                     experiment, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([experiment, "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_floats_count_as_integers(tmp_path):
+    # 20.0 runs as 20, and the manifest records the integers used
+    given = _run_small(tmp_path, "chain", {"n": 20.0, "steps": 50.0,
+                                           "k0": 3.0}, "a")
+    plain = _run_small(tmp_path, "chain", {"n": 20, "steps": 50, "k0": 3},
+                       "b")
+    assert given == plain
+    for key in ("n", "steps", "k0"):
+        assert type(given["config"][key]) is int
+
+
 def test_weights_off_alpha_half_runs_only_the_quadrature_route(tmp_path):
     # the exact sums and the large-n expansion are derived at alpha = 1/2
     path = tmp_path / "cfg.json"

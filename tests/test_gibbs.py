@@ -260,6 +260,23 @@ def test_weights_batch_dispatch():
         weights_batch(np.array([5.0]), np.array([2.0]), "not params")
 
 
+@pytest.mark.parametrize("params, route", [
+    (PDParams(theta=-0.2, alpha=0.5), weights_pd),
+    (PDParams(theta=1.5, alpha=0.3), weights_pd),
+    (GGParams(a=0.0), weights_gg_exact),
+    (GGParams(a=0.0), weights_gg_quadrature),
+], ids=["pd-0.2", "pd1.5", "a0-exact", "a0-quadrature"])
+def test_scalar_closed_forms_equal_weights_batch(params, route):
+    # the scalar routes read their closed forms from weights_batch, so
+    # they agree to the bit over 1 <= k <= n <= 50
+    n, k = np.tril_indices(50)
+    n, k = n + 1.0, k + 1.0
+    g0, g1 = weights_batch(n, k, params)
+    for i in range(n.size):
+        scalar = route(int(n[i]), int(k[i]), params)
+        assert (scalar.g0, scalar.g1) == (g0[i], g1[i]), (n[i], k[i])
+
+
 def test_batch_matches_scalar_rows():
     # one batch call over mixed n gives what the scalar readers take from
     # their per-n rows

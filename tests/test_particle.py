@@ -126,6 +126,20 @@ def test_moran_ensemble_validation(rng, monkeypatch):
         moran_ensemble(np.zeros((2, 3), dtype=int), 0, params, rng)
 
 
+def test_g0_table_and_drift_refuse_g0_outside_unit_interval(monkeypatch):
+    # g0 = 1.2 with the g1 that keeps the replacement probabilities
+    # summing to one: only the range check refuses it
+    monkeypatch.setattr(
+        particle, "weights_batch",
+        lambda n, k, p: (np.full(np.shape(k), 1.2),
+                         -0.2 / (n - p.alpha * np.asarray(k, float))))
+    params = GGParams.from_beta(2.0)
+    with pytest.raises(InternalConsistencyError):
+        particle._g0_table(10, params)
+    with pytest.raises(InternalConsistencyError):
+        moran_phi2_drift([3, 2, 1], params)
+
+
 @pytest.mark.parametrize("beta, sizes", [
     (0.5, [7, 5, 3, 3, 1, 1]),
     (2.0, [6, 2, 2, 1, 1, 1, 1, 1, 1]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nigdiff import gibbs
+from nigdiff import gibbs, urn
 from nigdiff.errors import (DomainError, InternalConsistencyError)
 from nigdiff.gibbs import (GGParams, PDParams, eppf, integer_partitions,
                            log_v, shape_count)
@@ -150,6 +150,27 @@ def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
     sample_partition(300, params, np.random.default_rng(0))
     assert 1 <= len(calls) <= 5
     assert max(calls) < 2 * 64
+
+
+def _g0_above_one(n, k, params):
+    # g0 = 1.2 with the g1 that keeps g0 + g1 (n - alpha k) = 1
+    k = np.asarray(k, dtype=float)
+    return np.full(k.shape, 1.2), -0.2 / (n - params.alpha * k)
+
+
+@pytest.mark.parametrize("sampler", ["sample_k_batch", "sample_partition"])
+def test_urns_refuse_a_row_with_g0_outside_unit_interval(monkeypatch,
+                                                          sampler):
+    # the evaluator row is checked, not clipped into [0, 1]
+    monkeypatch.setattr(gibbs, "weights_batch", _g0_above_one)
+    urn._partition_rows.cache_clear()  # sample_partition's rows are cached
+    params = GGParams.from_beta(3.25)
+    with pytest.raises(InternalConsistencyError):
+        if sampler == "sample_k_batch":
+            sample_k_batch(100, params, 10, np.random.default_rng(0))
+        else:
+            sample_partition(100, params, np.random.default_rng(0))
+    urn._partition_rows.cache_clear()
 
 
 def test_sample_k_batch_agrees_with_scalar_urn(rng):
