@@ -290,6 +290,13 @@ def python_particle_run(slots, counts, events, alpha, uniforms, g0=None,
     return slots, counts, total, pos
 
 
+def g0_above_one(n, k, params):
+    """A stand-in weight evaluator: g0 = 1.2 and the g1 that keeps
+    g0 + g1 (n - alpha k) = 1, a row that only the range check refuses."""
+    k = np.asarray(k, dtype=float)
+    return np.full(k.shape, 1.2), -0.2 / (n - params.alpha * k)
+
+
 def stepwise_k_batch(n, params, replicates, rng):
     """Block counts of ``replicates`` urn runs grown one step at a time,
     one ``rng.random(replicates)`` per step: a run at (m, k) opens a new

@@ -17,7 +17,7 @@ from nigdiff.particle import (ParticleSystem, UniformStream, balanced_sizes,
                               simulate_rescaled)
 from nigdiff.urn import PartitionState, sample_partition
 
-from conftest import python_particle_run
+from conftest import g0_above_one, python_particle_run
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +127,9 @@ def test_moran_ensemble_validation(rng, monkeypatch):
 
 
 def test_g0_table_and_drift_refuse_g0_outside_unit_interval(monkeypatch):
-    # g0 = 1.2 with the g1 that keeps the replacement probabilities
-    # summing to one: only the range check refuses it
-    monkeypatch.setattr(
-        particle, "weights_batch",
-        lambda n, k, p: (np.full(np.shape(k), 1.2),
-                         -0.2 / (n - p.alpha * np.asarray(k, float))))
+    # the replacement probabilities sum to one: only the range check
+    # refuses the row
+    monkeypatch.setattr(particle, "weights_batch", g0_above_one)
     params = GGParams.from_beta(2.0)
     with pytest.raises(InternalConsistencyError):
         particle._g0_table(10, params)

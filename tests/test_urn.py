@@ -15,7 +15,7 @@ from nigdiff.specfun import gen_factorial_coeff, gen_factorial_coeff_log_table
 from nigdiff.urn import (GemWeights, PartitionState, ordered_frequencies,
                          sample_gem, sample_k_batch, sample_partition)
 
-from conftest import stepwise_k_batch
+from conftest import g0_above_one, stepwise_k_batch
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +152,16 @@ def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
     assert max(calls) < 2 * 64
 
 
-def _g0_above_one(n, k, params):
-    # g0 = 1.2 with the g1 that keeps g0 + g1 (n - alpha k) = 1
-    k = np.asarray(k, dtype=float)
-    return np.full(k.shape, 1.2), -0.2 / (n - params.alpha * k)
-
-
-@pytest.mark.parametrize("sampler", ["sample_k_batch", "sample_partition"])
-def test_urns_refuse_a_row_with_g0_outside_unit_interval(monkeypatch,
-                                                          sampler):
+@pytest.mark.parametrize("draw", [
+    lambda params, rng: sample_k_batch(100, params, 10, rng),
+    lambda params, rng: sample_partition(100, params, rng),
+], ids=["sample_k_batch", "sample_partition"])
+def test_urns_refuse_a_row_with_g0_outside_unit_interval(monkeypatch, draw):
     # the evaluator row is checked, not clipped into [0, 1]
-    monkeypatch.setattr(gibbs, "weights_batch", _g0_above_one)
+    monkeypatch.setattr(gibbs, "weights_batch", g0_above_one)
     urn._partition_rows.cache_clear()  # sample_partition's rows are cached
-    params = GGParams.from_beta(3.25)
     with pytest.raises(InternalConsistencyError):
-        if sampler == "sample_k_batch":
-            sample_k_batch(100, params, 10, np.random.default_rng(0))
-        else:
-            sample_partition(100, params, np.random.default_rng(0))
+        draw(GGParams.from_beta(3.25), np.random.default_rng(0))
     urn._partition_rows.cache_clear()
 
 
