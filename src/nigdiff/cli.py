@@ -7,15 +7,18 @@ Usage: nigdiff <experiment> [--config file.json] [--seed N] [--out dir]
 reads and its config keys with their defaults.  Besides those keys a
 config may carry ``schema_version``, ``experiment``, ``seed`` and
 ``format``; any other key, params keys outside (theta, alpha), (beta,
-tau, alpha) and (a, tau, alpha), a non-integer for an integer key or a
-boolean for a numeric one exit 2 before any file is written.
+tau, alpha) and (a, tau, alpha), a non-integer for an integer key, a
+boolean or a string for a numeric one, and a list key that is not a
+list of such numbers exit 2 before any file is written.
 Every run writes its data files plus ``manifest.json``: schema and
 package versions, seed, SHA-256 of every file and the resolved config,
 every declared key at the value used and the params with their defaults
 filled in.  That config, given back with the same seed, reproduces every
 data file byte for byte.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
+Exit codes: 0 success, 1 the compiled event loops could not be built
+(gcc is missing or failed), 2 usage/configuration error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__, diffusion, gibbs, particle, urn
-from .errors import NigdiffError
+from .errors import KernelCompileError, NigdiffError
 from .gibbs import (GGParams, PDParams, eppf, integer_partitions, m1_pmf,
                     shape_count, weights_gg_asymptotic, weights_gg_exact,
                     weights_gg_quadrature, weights_pd)
@@ -64,15 +67,35 @@ def _resolve_params(raw):
                          ) from None
 
 
+# list keys and the kind of number each entry must be
+_LIST_KEYS = {"ns": int, "ks": int, "betas": float, "s_values": float,
+              "x_grid": float}
+
+
 def _coerce(key, value, default):
-    """A given numeric value, never a boolean: a float for a float default,
-    an integer (200.0 counts) for an int default, k0 and burn_in."""
+    """A given numeric value, never a boolean or a string: a float for a
+    float default, an integer (200.0 counts) for an int default, k0 and
+    burn_in.  A list key takes a list of such numbers (ks and x_grid
+    also null), kept as given."""
+    if key in _LIST_KEYS:
+        if value is None and default is None:
+            return None
+        if not isinstance(value, list):
+            raise UsageError(f"{key} must be a list of numbers, not "
+                             f"{value!r}")
+        for entry in value:
+            _number(key, entry, _LIST_KEYS[key] is int)
+        return value
     integral = isinstance(default, int) or (
         key in ("k0", "burn_in") and value is not None)
     if not (integral or isinstance(default, float)):
         return value
-    if isinstance(value, bool) or integral and not (isinstance(
-            value, int) or isinstance(value, float) and value.is_integer()):
+    return _number(key, value, integral)
+
+
+def _number(key, value, integral):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integral and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if integral else "a number"
         raise UsageError(f"{key} must be {kind}, not {value!r}")
     return int(value) if integral else float(value)
@@ -103,7 +126,7 @@ def _exp_weights(cfg, params, seed):
         routes = {"quadrature": weights_gg_quadrature}
     rows = []
     for n in cfg["ns"]:
-        ks = cfg["ks"] or sorted({1, max(1, int(math.isqrt(n))), n})
+        ks = cfg["ks"] or sorted({1, max(1, math.isqrt(int(n))), n})
         for k in ks:
             for route, fn in routes.items():
                 w = fn(int(n), int(k), params)
@@ -415,6 +438,9 @@ def main(argv=None) -> int:
     except NigdiffError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except KernelCompileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(path)
     return 0

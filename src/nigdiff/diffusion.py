@@ -7,8 +7,8 @@ Chain paths come from one engine: ``simulate_chain_ensemble`` reads
 transition tables built once per call from one row of the batch weight
 evaluator (``gibbs.weights_batch``, or the large-n expansion in
 asymptotic mode) and advances R replicas with the compiled
-``chain_run`` loop (``_kernels.c``, built by gcc on the first
-call in a process).  It reads one uniform per replica-step, drawn by
+``chain_run`` loop (``_kernels.c``, built by gcc once per source and
+loaded on the first call in a process).  It reads one uniform per replica-step, drawn by
 numpy in chunks of at most 2^16 and in the order of one
 ``rng.random(R)`` per step, and discards none.
 

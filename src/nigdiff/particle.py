@@ -16,10 +16,11 @@ through the engines' one row check (``gibbs._check_weight_row``) before
 any event runs.
 
 The dynamics run on one engine, compiled C (``_kernels.c``, built by
-gcc on the first call in a process) on flat int32 arrays of type slots
-and block counts.  ``particle_run`` runs one system, free or
-conditioned, for the long trajectories (``simulate_rescaled``,
-``conditioned_phi2_average``); ``moran_ensemble`` runs R free replicas
+gcc once per source and loaded on the first call in a process) on flat
+int32 arrays of type slots and block counts.  ``particle_run`` runs one
+system, free or conditioned, for the long trajectories
+(``simulate_rescaled``, ``conditioned_phi2_average``);
+``moran_ensemble`` runs R free replicas
 as the rows of (R, n) arrays, one after another, for the many short
 runs of the generator and stationarity checks.  Both read numpy
 uniforms from a ``UniformStream``: an event is applied only once all

@@ -337,3 +337,14 @@ def stepwise_transition_tables(n, params, mode):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_kernel_cache(tmp_path_factory):
+    """Point the compiled kernels' cache at a directory of the session,
+    so the tests, and the processes they start with this environment,
+    never read or fill the user's cache."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+    yield
+    patch.undo()

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -317,6 +319,68 @@ def test_integral_floats_count_as_integers(tmp_path):
     assert given == plain
     for key in ("n", "steps", "k0"):
         assert type(given["config"][key]) is int
+
+
+@pytest.mark.parametrize("experiment, cfg", [
+    ("weights", {"ns": [5.5, 10], "ks": [2]}),  # int list, non-integral
+    ("weights", {"ns": [5], "ks": [2.7]}),
+    ("weights", {"ns": [True, 10]}),            # int list, boolean
+    ("weights", {"ns": 5}),                     # not a list
+    ("conditioned", {"n": 50, "steps": 1000, "s_values": [True]}),
+    ("conditioned", {"n": 50, "steps": 1000, "s_values": ["1"]}),
+    ("figure1", {"n": 50, "steps": 500, "betas": [False, 2.0]}),
+    ("boundary", {"x_grid": ["0.5", 1.0]}),
+    ("sde", {"steps": 5, "dt": "0.01"}),        # numeric string
+    ("chain", {"steps": 5, "params": {"beta": "2"}}),
+], ids=["ns-float", "ks-float", "ns-bool", "ns-scalar", "s_values-bool",
+        "s_values-string", "betas-bool", "x_grid-string", "dt-string",
+        "params-string"])
+def test_list_entries_and_numeric_strings_exit_2(tmp_path, capsys,
+                                                 experiment, cfg):
+    # each of these ran before, on a truncated or converted value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([experiment, "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_list_entries_are_kept_as_given(tmp_path):
+    # integral floats and integers still count, and the files and the
+    # manifest hold them as given
+    manifest = _run_small(tmp_path, "weights", {"ns": [5.0, 10], "ks": [2]},
+                          "a")
+    assert manifest["config"]["ns"] == [5.0, 10]
+    assert manifest["files"] == _run_small(
+        tmp_path, "weights", {"ns": [5, 10], "ks": [2.0]}, "b")["files"]
+    manifest = _run_small(tmp_path, "conditioned", {
+        "n": 50, "steps": 2000, "s_values": [1, 2.0]}, "c")
+    assert manifest["config"]["s_values"] == [1, 2.0]
+    rows = (tmp_path / "c" / "conditioned.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
+
+
+def test_weights_default_ks_take_integral_floats(tmp_path):
+    # ns = [5.0] with ks null gives k in {1, 2, 5} as for ns = [5]
+    first = _run_small(tmp_path, "weights", {"ns": [5.0]}, "a")
+    assert first["files"] == _run_small(tmp_path, "weights", {"ns": [5]},
+                                        "b")["files"]
+
+
+def test_missing_compiler_exits_1_with_one_error_line(tmp_path):
+    # no gcc on PATH: one error line with the compiler's message, no
+    # traceback and no file
+    env = {**os.environ, "PATH": str(tmp_path / "nonexistent"),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(nigdiff.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nigdiff.cli", "conditioned", "--seed", "1",
+         "--out", str(tmp_path / "o")], env=env, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "'gcc'" in line
+    assert not (tmp_path / "o").exists()
 
 
 def test_weights_off_alpha_half_runs_only_the_quadrature_route(tmp_path):

@@ -59,6 +59,7 @@ def test_package_runs_without_scipy_until_special_functions(tmp_path):
     package = os.path.dirname(nigdiff.__file__)
     env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
            "PYTHONPATH": os.path.dirname(package), "TMPDIR": str(tmp_path),
+           "XDG_CACHE_HOME": os.environ["XDG_CACHE_HOME"],
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-c", SCRIPT,
                            str(tmp_path / "out")], env=env,

@@ -3,9 +3,11 @@ conftest.py: the block-count chain bit for bit against the per-step
 numpy loop, the Moran loop bit for bit against its mirror in both modes
 and at every chunk size, the ensemble's rows as successive mirror runs,
 the chain's law where the numpy loop's is wrong, the refusals, and the
-lazy gcc build."""
+lazy gcc build with its cache, counted by a gcc wrapper in fresh
+processes."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -188,20 +190,106 @@ def test_missing_compiler_is_a_clear_error(monkeypatch):
         _kernels.lib.__wrapped__()
 
 
-def test_fresh_process_builds_without_leaving_files(tmp_path):
+_SCRIPT = ("import numpy as np, nigdiff\n"
+           "from nigdiff import _kernels\n"
+           "assert _kernels.lib.cache_info().currsize == 0\n"
+           "print(repr(nigdiff.conditioned_phi2_average("
+           "[5, 3, 1], 2_000, 0.5, np.random.default_rng(0), burn_in=100)))\n")
+
+
+@pytest.fixture
+def fresh(tmp_path):
+    """Run ``_SCRIPT`` in a fresh process, with XDG_CACHE_HOME at a given
+    path, behind a gcc wrapper that logs each call; returns the stdout
+    and the number of compiles so far.  HOME and TMPDIR are directories
+    of their own, which the caller can check stay empty."""
+    package = os.path.dirname(nigdiff.__file__)
+    wrappers, log = tmp_path / "bin", tmp_path / "gcc.log"
+    wrappers.mkdir()
+    for name in ("home", "tmp"):
+        (tmp_path / name).mkdir()
+    gcc = wrappers / "gcc"
+    gcc.write_text(f'#!/bin/sh\necho "$*" >> {log}\n'
+                   f'exec {shutil.which("gcc")} "$@"\n')
+    gcc.chmod(0o755)
+
+    def run(cache):
+        env = {"PATH": f"{wrappers}{os.pathsep}"
+                       f"{os.environ.get('PATH', '/usr/bin:/bin')}",
+               "PYTHONPATH": os.path.dirname(package),
+               "HOME": str(tmp_path / "home"), "TMPDIR": str(tmp_path / "tmp"),
+               "XDG_CACHE_HOME": str(cache), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        calls = log.read_text().splitlines() if log.exists() else []
+        return proc.stdout, sum(" -o " in call for call in calls)
+    return run
+
+
+def _entries(cache):
+    return sorted((cache / "nigdiff").iterdir())
+
+
+def test_fresh_process_builds_without_leaving_files(tmp_path, fresh):
+    # one compile; its one file is the cache entry
     package = os.path.dirname(nigdiff.__file__)
     before = sorted(os.listdir(package))
-    script = ("import numpy as np, nigdiff, sys\n"
-              "from nigdiff import _kernels\n"
-              "assert _kernels.lib.cache_info().currsize == 0\n"
-              "print(nigdiff.conditioned_phi2_average([5, 3, 1], 2_000, 0.5,"
-              " np.random.default_rng(0), burn_in=100))\n")
-    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-           "PYTHONPATH": os.path.dirname(package), "TMPDIR": str(tmp_path),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert 0.0 < float(proc.stdout) < 1.0
+    out, compiles = fresh(tmp_path / "cache")
+    assert 0.0 < float(out) < 1.0 and compiles == 1
+    [entry] = _entries(tmp_path / "cache")
+    assert entry.name.startswith("_kernels-") and entry.suffix == ".so"
+    assert (tmp_path / "cache" / "nigdiff").stat().st_mode & 0o777 == 0o700
     assert sorted(os.listdir(package)) == before
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path / "tmp") == os.listdir(tmp_path / "home") == []
+
+
+def test_second_fresh_process_loads_the_cached_build(tmp_path, fresh):
+    first, _ = fresh(tmp_path / "cache")
+    entries = _entries(tmp_path / "cache")
+    second, compiles = fresh(tmp_path / "cache")
+    assert compiles == 1 and second == first
+    assert _entries(tmp_path / "cache") == entries
+
+
+def test_other_entries_are_kept(tmp_path, fresh):
+    # a checkout of another source keeps its entry: nothing is pruned
+    (tmp_path / "cache" / "nigdiff").mkdir(parents=True, mode=0o700)
+    other = tmp_path / "cache" / "nigdiff" / f"_kernels-{'0' * 64}.so"
+    other.write_bytes(b"another source")
+    fresh(tmp_path / "cache")
+    assert len(_entries(tmp_path / "cache")) == 2
+    assert other.read_bytes() == b"another source"
+
+
+@pytest.mark.parametrize("unusable", ["regular-file", "group-writable"])
+def test_unusable_cache_falls_back_to_a_temporary_build(tmp_path, fresh,
+                                                        unusable):
+    cache = tmp_path / "cache"
+    if unusable == "regular-file":
+        cache.write_text("not a directory")
+    else:
+        (cache / "nigdiff").mkdir(parents=True)
+        (cache / "nigdiff").chmod(0o770)
+    for compiles in (1, 2):  # no entry, so every process builds
+        out, count = fresh(cache)
+        assert 0.0 < float(out) < 1.0 and count == compiles
+    if unusable == "regular-file":
+        assert cache.read_text() == "not a directory"
+    else:
+        assert _entries(cache) == []
+    assert os.listdir(tmp_path / "tmp") == os.listdir(tmp_path / "home") == []
+
+
+def test_truncated_cache_entry_is_rebuilt_and_replaced(tmp_path, fresh):
+    # dlopen would map a truncated library and die of SIGBUS; its seal
+    # fails instead, and the entry is rebuilt in place
+    first, _ = fresh(tmp_path / "cache")
+    [entry] = _entries(tmp_path / "cache")
+    whole = entry.read_bytes()
+    for size in (0, 100, len(whole) // 2, len(whole) - 1):
+        entry.write_bytes(whole[:size])
+        out, compiles = fresh(tmp_path / "cache")
+        assert out == first and _entries(tmp_path / "cache") == [entry]
+        assert entry.read_bytes() == whole
+    assert compiles == 5
