@@ -20,7 +20,7 @@ from .diffusion import (ChainState, DiversityPath, SimplexPoint,
                         generator_action_power_sum, scale_function, sde_step,
                         simulate_chain, simulate_sde, speed_measure,
                         stationary_density_candidate)
-from .particle import (ParticleSystem, UniformStream, balanced_sizes,
+from .particle import (ParticleSystem, balanced_sizes,
                        conditioned_phi2_average, moran_ensemble,
                        moran_phi2_drift, particle_run, simulate_rescaled)
 

@@ -1,5 +1,7 @@
 """Loader of ``_kernels.c``, the compiled event loops of the block-count
-chain (``chain_run``) and of the Moran dynamics (``particle_run``).
+chain (``chain_run``) and of the Moran dynamics (``particle_run``), and
+``run``, which calls one of them on the bit generator of a numpy
+``Generator``.
 
 The first call of ``lib`` in a process loads the library from a cache
 keyed by content, so a given source is compiled once per machine:
@@ -36,9 +38,9 @@ import os
 import subprocess
 import tempfile
 
-from .errors import KernelCompileError
+import numpy as np
 
-CHUNK = 1 << 16  # uniforms drawn at a time, so buffers stay small
+from .errors import DomainError, KernelCompileError
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_kernels.c")
@@ -142,8 +144,21 @@ def lib() -> ctypes.CDLL:
             _run([*_COMMAND, _SOURCE, "-o", target])
             so = ctypes.CDLL(target)
     so.chain_run.restype = _I64
-    so.chain_run.argtypes = [_I64] * 4 + [_PTR] * 5
+    so.chain_run.argtypes = [_PTR] + [_I64] * 3 + [_PTR] * 4
     so.particle_run.restype = _I64
-    so.particle_run.argtypes = [_I64, ctypes.c_int32, ctypes.c_double, _PTR,
-                                _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR]
+    so.particle_run.argtypes = [_PTR, _I64, ctypes.c_int32, ctypes.c_double,
+                                _PTR, _I64, _I64, _PTR, _PTR]
     return so
+
+
+def run(kernel: str, rng, *args) -> int:
+    """Call ``kernel`` of ``lib()`` with the ``bitgen_t *`` of the numpy
+    ``Generator`` ``rng``, which it draws from, and then ``args``; anything
+    but a ``Generator`` raises ``DomainError``.  The call holds the bit
+    generator's lock, since ctypes releases the GIL while it runs."""
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError("rng must be a numpy Generator, not "
+                          f"{type(rng).__name__}")
+    fn, bits = getattr(lib(), kernel), rng.bit_generator
+    with bits.lock:
+        return fn(bits.ctypes.bit_generator, *args)

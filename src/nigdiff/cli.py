@@ -75,14 +75,14 @@ _LIST_KEYS = {"ns": int, "ks": int, "betas": float, "s_values": float,
 def _coerce(key, value, default):
     """A given numeric value, never a boolean or a string: a float for a
     float default, an integer (200.0 counts) for an int default, k0 and
-    burn_in.  A list key takes a list of such numbers (ks and x_grid
-    also null), kept as given."""
+    burn_in.  A list key takes a nonempty list of such numbers (ks and
+    x_grid also null), kept as given."""
     if key in _LIST_KEYS:
         if value is None and default is None:
             return None
-        if not isinstance(value, list):
-            raise UsageError(f"{key} must be a list of numbers, not "
-                             f"{value!r}")
+        if not isinstance(value, list) or not value:
+            raise UsageError(f"{key} must be a nonempty list of numbers, "
+                             f"not {value!r}")
         for entry in value:
             _number(key, entry, _LIST_KEYS[key] is int)
         return value
@@ -227,16 +227,17 @@ def _exp_conditioned(cfg, params, seed):
     n = cfg["n"]
     if cfg["burn_in"] is None:
         cfg["burn_in"] = cfg["steps"] // 10
+    ks = [max(1, min(n, round(float(s) * math.sqrt(n))))
+          for s in cfg["s_values"]]
+    exacts = gibbs.conditional_phi2_mean(n, ks, params.alpha)
     rows = []
-    for rep, s in enumerate(cfg["s_values"]):
+    for rep, (s, k, exact) in enumerate(zip(cfg["s_values"], ks, exacts)):
         rng = _rng(seed, rep)
-        k = max(1, min(n, round(float(s) * math.sqrt(n))))
         sizes = particle.balanced_sizes(n, k)
         avg = particle.conditioned_phi2_average(
             sizes, cfg["steps"], params.alpha, rng, burn_in=cfg["burn_in"])
         theta = float(s) ** 2 / 4.0
         oracle = (1.0 - params.alpha) / (theta + 1.0)
-        exact = gibbs.conditional_phi2_mean(n, k, params.alpha)
         rows.append([s, k, avg, exact, oracle, avg / oracle - 1.0])
     return {"conditioned": (["s", "k", "phi2_time_average",
                              "stationary_exact", "pd_oracle",

@@ -8,9 +8,9 @@ transition tables built once per call from one row of the batch weight
 evaluator (``gibbs.weights_batch``, or the large-n expansion in
 asymptotic mode) and advances R replicas with the compiled
 ``chain_run`` loop (``_kernels.c``, built by gcc once per source and
-loaded on the first call in a process).  It reads one uniform per replica-step, drawn by
-numpy in chunks of at most 2^16 and in the order of one
-``rng.random(R)`` per step, and discards none.
+loaded on the first call in a process).  The loop draws one uniform per
+replica-step from the bit generator of a numpy ``Generator``, in the
+order of one ``rng.random(R)`` per step, and no more.
 
 scipy is imported only inside ``stationary_tail_partial_integral``,
 whose quadrature is its one use here; the chain, the SDE and the
@@ -182,7 +182,8 @@ def simulate_chain_ensemble(n: int, steps: int, k0: int, params: GGParams,
     replicates advanced jointly from precomputed transition tables by
     the compiled ``chain_run``.
 
-    Each replica-step reads one uniform u, in the order of
+    Each replica-step reads one uniform u from ``rng``, a numpy
+    ``Generator`` (anything else raises ``DomainError``), in the order of
     ``rng.random(replicates)`` per step, and both moves are decided from
     the pre-step k: up when u < p_up[k], down when u > 1 - p_down[k]."""
     if not 1 <= k0 <= n:
@@ -197,15 +198,9 @@ def simulate_chain_ensemble(n: int, steps: int, k0: int, params: GGParams,
     k = np.full(replicates, k0, dtype=np.int32)
     out = np.empty((steps // record_every + 1, replicates), dtype=np.int32)
     out[0] = k
-    row = 1
-    per_chunk = max(1, _kernels.CHUNK // replicates)
-    run = _kernels.lib().chain_run
-    for first in range(0, steps, per_chunk):
-        m = min(per_chunk, steps - first)
-        u = rng.random(m * replicates)
-        row += run(replicates, m, first, record_every, u.ctypes.data,
-                   p_up.ctypes.data, p_down.ctypes.data, k.ctypes.data,
-                   out[row:].ctypes.data)
+    _kernels.run("chain_run", rng, replicates, steps, record_every,
+                 p_up.ctypes.data, p_down.ctypes.data, k.ctypes.data,
+                 out[1:].ctypes.data)
     return out
 
 

@@ -578,7 +578,7 @@ def m1_factorial_moment(n: int, r: int, params: GGParams) -> float:
 # ---------------------------------------------------------------------------
 # Exact moments of the partition law conditioned on the number of blocks
 
-def conditional_pair_probability(n: int, k: int, alpha: float = 0.5) -> float:
+def conditional_pair_probability(n: int, k, alpha: float = 0.5):
     """P(two given items fall in the same block | K_n = k) under any
     Gibbs-type partition with discount alpha.
 
@@ -587,16 +587,29 @@ def conditional_pair_probability(n: int, k: int, alpha: float = 0.5) -> float:
     partitions of [n] with k blocks; the normalizer is
     C(n, k, alpha) / alpha^k.  The pair probability is obtained by
     size-biasing the block of the first item.
+
+    ``k`` may also be a sequence of block counts.  The list of values
+    then equals that of the scalar calls, read from one table of
+    log C(n, ., alpha) as wide as the largest k below n, whose entries do
+    not depend on its width.
     """
     if n < 2:
         raise DomainError("pair probability needs n >= 2")
-    if not 1 <= k <= n:
+    ks = [k] if np.ndim(k) == 0 else list(k)
+    if not all(1 <= v <= n for v in ks):
         raise DomainError("k must lie in [1, n]")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if k == n:
-        return 0.0
-    table = gen_factorial_coeff_log_table(n, k, alpha)
+    top = max((v for v in ks if v < n), default=0)
+    table = gen_factorial_coeff_log_table(n, top, alpha) if top else None
+    values = [_pair_probability(n, v, alpha, table) if v < n else 0.0
+              for v in ks]
+    return values[0] if np.ndim(k) == 0 else values
+
+
+def _pair_probability(n: int, k: int, alpha: float, table) -> float:
+    """The pair probability at 1 <= k < n from a table of
+    log C(m, j, alpha) with at least k + 1 columns."""
     log_norm = table[n, k]
     log_poch = np.cumsum(np.log(np.arange(n - k + 1) + (1.0 - alpha)))
     m = np.arange(2, n - k + 2)
@@ -608,8 +621,11 @@ def conditional_pair_probability(n: int, k: int, alpha: float = 0.5) -> float:
     return float(np.sum(np.exp(log_weight - log_norm) * (m - 1) / (n - 1)))
 
 
-def conditional_phi2_mean(n: int, k: int, alpha: float = 0.5) -> float:
+def conditional_phi2_mean(n: int, k, alpha: float = 0.5):
     """Exact E[sum_j (n_j / n)^2 | K_n = k] for a Gibbs-type partition
-    with discount alpha (independent of the V-weights)."""
+    with discount alpha (independent of the V-weights); ``k`` may be a
+    sequence, as in ``conditional_pair_probability``."""
     p = conditional_pair_probability(n, k, alpha)
-    return (n * (n - 1) * p + n) / (n * n)
+    if np.ndim(k) == 0:
+        return (n * (n - 1) * p + n) / (n * n)
+    return [(n * (n - 1) * q + n) / (n * n) for q in p]

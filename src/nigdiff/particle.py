@@ -20,14 +20,13 @@ gcc once per source and loaded on the first call in a process) on flat
 int32 arrays of type slots and block counts.  ``particle_run`` runs one
 system, free or conditioned, for the long trajectories
 (``simulate_rescaled``, ``conditioned_phi2_average``);
-``moran_ensemble`` runs R free replicas
-as the rows of (R, n) arrays, one after another, for the many short
-runs of the generator and stationarity checks.  Both read numpy
-uniforms from a ``UniformStream``: an event is applied only once all
-its uniforms are read, and what a chunk leaves over is carried into the
-next, so no uniform is discarded.  ``ParticleSystem`` holds one
-system's slot and count arrays, which the rescaled observables are read
-from.
+``moran_ensemble`` runs R free replicas as the rows of (R, n) arrays,
+one after another, for the many short runs of the generator and
+stationarity checks.  Both take a numpy ``Generator``, and the loop
+draws each uniform from its bit generator when it reads it, in the order
+of successive ``rng.random()`` calls, so the generator is left just past
+the last uniform used.  ``ParticleSystem`` holds one system's slot and
+count arrays, which the rescaled observables are read from.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ def _g0_table(n: int, params) -> np.ndarray:
 
 def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     """Run ``events`` free Moran events on each of R independent replicas,
-    one after another from one ``UniformStream`` of ``rng``: row r is the
-    free ``particle_run`` that follows row r - 1's on the same uniforms.
+    one after another: row r is the free ``particle_run`` that follows
+    row r - 1's on the same ``rng``.
 
     ``slots`` is an (R, n) integer array: particle j of replica r has
     the type held in slot ``slots[r, j]``, 0 <= slot < n (a broadcast
@@ -145,32 +144,13 @@ def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     counts = np.bincount(flat, minlength=reps * n).astype(np.int32).reshape(
         reps, n)
     # burn_in = events: no sum_sq is summed, so R rows cannot overflow it
-    _drive(slots, counts, events, params.alpha, UniformStream(rng), g0,
-           burn_in=events)
+    _kernels.run("particle_run", rng, reps, n, params.alpha, g0.ctypes.data,
+                 events, events, slots.ctypes.data, counts.ctypes.data)
     return slots, counts
 
 
-class UniformStream:
-    """Uniforms of ``rng``, drawn ``chunk`` at a time.  ``particle_run``
-    consumes a prefix that ends at an event boundary and leaves the rest
-    here for its next call, so no uniform is discarded and a run does
-    not depend on the chunk size."""
-
-    def __init__(self, rng: np.random.Generator, chunk: int = _kernels.CHUNK):
-        if chunk < 1:
-            raise DomainError("chunk must be >= 1")
-        self.rng = rng
-        self.chunk = chunk
-        self.buffer = np.empty(0)
-
-    def extend(self) -> None:
-        """Append one chunk to what is left."""
-        self.buffer = np.concatenate((self.buffer,
-                                      self.rng.random(self.chunk)))
-
-
 def particle_run(slots, counts, events: int, alpha: float,
-                 uniforms: UniformStream, g0=None, burn_in: int = 0) -> int:
+                 rng: np.random.Generator, g0=None, burn_in: int = 0) -> int:
     """Run ``events`` Moran events on one system, in place, with the
     compiled event loop; return the sum of sum_sq = sum_t counts[t]^2
     after each event numbered above ``burn_in``.
@@ -185,8 +165,9 @@ def particle_run(slots, counts, events: int, alpha: float,
     type t taken with probability (c_t - alpha)/c_t on the post-removal
     counts.  A fresh type takes the freed slot, or the first empty one;
     a slot is reused once it has emptied, which is harmless because only
-    counts are observed.  Per event the uniforms are read in the order i,
-    the fresh draw (free mode only), then (j, accept) pairs.
+    counts are observed.  Per event the uniforms are read from ``rng``, a
+    numpy ``Generator`` (anything else raises ``DomainError``), in the
+    order i, the fresh draw (free mode only), then (j, accept) pairs.
     """
     n = slots.size
     if n < 2:
@@ -205,32 +186,14 @@ def particle_run(slots, counts, events: int, alpha: float,
     if (slots.min() < 0 or slots.max() >= n
             or not np.array_equal(np.bincount(slots, minlength=n), counts)):
         raise DomainError("counts must count the slots, which lie in 0..n-1")
+    table = None
     if g0 is not None:
         g0 = np.ascontiguousarray(g0, dtype=np.float64)
         if g0.shape != (n - 1,):
             raise DomainError("g0 must hold one entry per k = 1..n-1")
-    return _drive(slots.reshape(1, n), counts.reshape(1, n), events, alpha,
-                  uniforms, g0, burn_in)
-
-
-def _drive(slots, counts, events, alpha, uniforms, g0, burn_in):
-    """Run ``events`` events on each row of the (R, n) int32 arrays, in
-    place, with the compiled loop, drawing chunks from ``uniforms`` until
-    every row is done; return the sum of sum_sq after each event
-    numbered above ``burn_in``."""
-    reps, n = slots.shape
-    state = np.zeros(3, dtype=np.int64)
-    run = _kernels.lib().particle_run
-    table = None if g0 is None else g0.ctypes.data
-    while True:
-        buf = uniforms.buffer
-        used = run(reps, n, alpha, table, events, burn_in, buf.ctypes.data,
-                   buf.size, slots.ctypes.data, counts.ctypes.data,
-                   state.ctypes.data)
-        uniforms.buffer = buf[used:]
-        if state[0] == reps:
-            return int(state[2])
-        uniforms.extend()
+        table = g0.ctypes.data
+    return _kernels.run("particle_run", rng, 1, n, alpha, table, events,
+                        burn_in, slots.ctypes.data, counts.ctypes.data)
 
 
 def moran_phi2_drift(block_sizes, params) -> float:
@@ -293,8 +256,8 @@ def conditioned_phi2_average(block_sizes, steps: int, alpha: float,
         raise DomainError("alpha must lie in (0, 1)")
     sys0 = ParticleSystem.from_partition(
         PartitionState(block_sizes=list(block_sizes)))
-    total = particle_run(sys0.slots, sys0.counts, steps, alpha,
-                         UniformStream(rng), burn_in=burn_in)
+    total = particle_run(sys0.slots, sys0.counts, steps, alpha, rng,
+                         burn_in=burn_in)
     return total / ((steps - burn_in) * sys0.n * sys0.n)
 
 
@@ -340,11 +303,10 @@ def simulate_rescaled(sys0: ParticleSystem, t_grid, params: GGParams,
 
     snaps, current = {}, 0  # index -> (K/sqrt(n), frequencies, phi(2))
     g0 = _g0_table(n, params)
-    uniforms = UniformStream(rng)
     for i in sorted(set(idx)):
         if i > current:
             particle_run(sys0.slots, sys0.counts, i - current,
-                         params.alpha, uniforms, g0=g0)
+                         params.alpha, rng, g0=g0)
             current = i
         snaps[i] = (sys0.K / math.sqrt(n), sys0.ordered_frequencies(top),
                     sys0.phi(2))

@@ -332,12 +332,18 @@ def test_integral_floats_count_as_integers(tmp_path):
     ("boundary", {"x_grid": ["0.5", 1.0]}),
     ("sde", {"steps": 5, "dt": "0.01"}),        # numeric string
     ("chain", {"steps": 5, "params": {"beta": "2"}}),
+    ("weights", {"ns": [5], "ks": []}),         # empty lists
+    ("weights", {"ns": []}),
+    ("boundary", {"x_grid": []}),
+    ("conditioned", {"n": 50, "steps": 1000, "s_values": []}),
 ], ids=["ns-float", "ks-float", "ns-bool", "ns-scalar", "s_values-bool",
         "s_values-string", "betas-bool", "x_grid-string", "dt-string",
-        "params-string"])
+        "params-string", "ks-empty", "ns-empty", "x_grid-empty",
+        "s_values-empty"])
 def test_list_entries_and_numeric_strings_exit_2(tmp_path, capsys,
                                                  experiment, cfg):
-    # each of these ran before, on a truncated or converted value
+    # each of these ran before, on a truncated or converted value, on the
+    # defaults (an empty ks or x_grid) or on nothing at all
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([experiment, "--seed", "1", "--config", str(path),

@@ -520,6 +520,22 @@ def test_conditional_phi2_mean_edges():
         conditional_pair_probability(5, 6)
 
 
+def test_conditional_moments_of_a_sequence_of_k_equal_the_scalar_calls():
+    # one table of the largest k < n serves every k, to the bit
+    for n, alpha in ((2, 0.5), (9, 0.3), (60, 0.5), (500, 0.77)):
+        ks = [n, 1, n // 2, n - 1, max(1, n // 7), 1]
+        pairs = conditional_pair_probability(n, ks, alpha)
+        means = conditional_phi2_mean(n, tuple(ks), alpha)
+        assert pairs == [conditional_pair_probability(n, k, alpha)
+                         for k in ks]
+        assert means == [conditional_phi2_mean(n, k, alpha) for k in ks]
+    assert conditional_phi2_mean(10, []) == []
+    assert conditional_pair_probability(10, [10, 10]) == [0.0, 0.0]
+    for ks in ([3, 0], [11, 3]):
+        with pytest.raises(DomainError):
+            conditional_phi2_mean(10, ks)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 

@@ -1,10 +1,11 @@
 """The compiled event loops against their pure-Python references in
 conftest.py: the block-count chain bit for bit against the per-step
-numpy loop, the Moran loop bit for bit against its mirror in both modes
-and at every chunk size, the ensemble's rows as successive mirror runs,
-the chain's law where the numpy loop's is wrong, the refusals, and the
-lazy gcc build with its cache, counted by a gcc wrapper in fresh
-processes."""
+numpy loop, the Moran loop bit for bit against its mirror in both modes,
+the ensemble's rows as successive mirror runs, each run leaving the
+generator just past the last uniform it read, under numpy's default bit
+generator and three others, the chain's law where the numpy loop's is
+wrong, the refusals, and the lazy gcc build with its cache, counted by a
+gcc wrapper in fresh processes."""
 
 import os
 import shutil
@@ -19,7 +20,7 @@ from nigdiff import _kernels, diffusion, particle
 from nigdiff.diffusion import _transition_tables, simulate_chain_ensemble
 from nigdiff.errors import DomainError, KernelCompileError
 from nigdiff.gibbs import GGParams, PDParams
-from nigdiff.particle import UniformStream, particle_run
+from nigdiff.particle import particle_run
 
 from conftest import numpy_chain_ensemble, python_particle_run
 
@@ -48,14 +49,17 @@ def test_chain_matches_numpy_loop(beta, replicates, k0):
 
 
 def test_chain_spans_several_chunks():
-    # 2^16 // 7 steps per chunk: the recorded rows line up across chunks
+    # a long run of 7 replicas, recorded every 97 steps: the rows line up
+    # with the numpy loop's, and the loop draws no uniform past its last
+    # step
     params = GGParams.from_beta(100.0)
     p_up, p_down = _transition_tables(N_CHAIN, params, "exact")
-    got = simulate_chain_ensemble(N_CHAIN, 30_001, 1, params, 7,
-                                  np.random.default_rng(1), record_every=97)
-    want = numpy_chain_ensemble(p_up, p_down, 30_001, 1, 7,
-                                np.random.default_rng(1), 97)
+    rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+    got = simulate_chain_ensemble(N_CHAIN, 30_001, 1, params, 7, rng_a,
+                                  record_every=97)
+    want = numpy_chain_ensemble(p_up, p_down, 30_001, 1, 7, rng_b, 97)
     assert np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_chain_law_where_moves_could_overlap(monkeypatch):
@@ -93,51 +97,79 @@ def test_particle_run_matches_python_mirror(params, free):
     g0 = particle._g0_table(n, params) if free else None
     for seed in range(3):
         uniforms = np.random.default_rng(seed).random(100_000).tolist()
-        want = python_particle_run(*_start(sizes, n), 6_000, params.alpha,
-                                   uniforms, g0=g0, burn_in=500)[:3]
-        for chunk in (7, 64, 1 << 16):
-            slots, counts = _start(sizes, n)
-            total = particle_run(slots, counts, 6_000, params.alpha,
-                                 UniformStream(np.random.default_rng(seed),
-                                               chunk),
-                                 g0=g0, burn_in=500)
-            assert (slots.tolist(), counts.tolist(), total) == want
+        *want, used = python_particle_run(*_start(sizes, n), 6_000,
+                                          params.alpha, uniforms, g0=g0,
+                                          burn_in=500)
+        slots, counts = _start(sizes, n)
+        rng = np.random.default_rng(seed)
+        total = particle_run(slots, counts, 6_000, params.alpha, rng, g0=g0,
+                             burn_in=500)
+        assert [slots.tolist(), counts.tolist(), total] == want
+        assert rng.random() == uniforms[used]
 
 
-def test_uniform_stream_carries_the_tail_across_calls():
-    # two runs of 1,000 events read exactly the uniforms of one of 2,000
+def test_successive_runs_read_one_unbroken_stream():
+    # two runs of 1,000 events on one generator read exactly the uniforms
+    # of one run of 2,000, and leave it where that run leaves it
     params = GGParams.from_beta(2.0)
     n, sizes = 20, [8, 5, 3, 2, 1, 1]
     g0 = particle._g0_table(n, params)
     uniforms = np.random.default_rng(4).random(50_000).tolist()
     slots, counts, _, used = python_particle_run(
         *_start(sizes, n), 2_000, params.alpha, uniforms, g0=g0)
-    stream = UniformStream(np.random.default_rng(4), 64)
+    rng = np.random.default_rng(4)
     got = _start(sizes, n)
     for _ in range(2):
-        particle_run(*got, 1_000, params.alpha, stream, g0=g0)
+        particle_run(*got, 1_000, params.alpha, rng, g0=g0)
     assert got[0].tolist() == slots and got[1].tolist() == counts
-    drawn = 64 * -(-used // 64)
-    assert stream.buffer.tolist() == uniforms[used:drawn]
+    assert rng.random() == uniforms[used]
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox,
+                                  np.random.SFC64])
+def test_loops_read_any_bit_generator(bits):
+    # the loops call the bit generator through numpy's bitgen_t, so its
+    # layout is checked by a mirror run under each bit generator
+    params = GGParams.from_beta(2.0)
+    n, sizes = 20, [8, 5, 3, 2, 1, 1]
+    g0 = particle._g0_table(n, params)
+    for table in (g0, None):
+        uniforms = np.random.Generator(bits(7)).random(50_000).tolist()
+        *want, used = python_particle_run(*_start(sizes, n), 3_000,
+                                          params.alpha, uniforms, g0=table,
+                                          burn_in=100)
+        rng = np.random.Generator(bits(7))
+        got = _start(sizes, n)
+        total = particle_run(*got, 3_000, params.alpha, rng, g0=table,
+                             burn_in=100)
+        assert [got[0].tolist(), got[1].tolist(), total] == want
+        assert rng.random() == uniforms[used]
+    p_up, p_down = _transition_tables(N_CHAIN, params, "exact")
+    rng_a, rng_b = np.random.Generator(bits(8)), np.random.Generator(bits(8))
+    got = simulate_chain_ensemble(N_CHAIN, 2_000, 1, params, 3, rng_a,
+                                  record_every=7)
+    want = numpy_chain_ensemble(p_up, p_down, 2_000, 1, 3, rng_b, 7)
+    assert np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
                                     PDParams(theta=1.5, alpha=0.3)])
 @pytest.mark.parametrize("reps", [1, 3, 17])
 @pytest.mark.parametrize("events", [0, 1, 50])
-@pytest.mark.parametrize("chunk", [7, 1 << 16])
-def test_ensemble_rows_are_successive_mirror_runs(monkeypatch, params, reps,
-                                                   events, chunk):
+@pytest.mark.parametrize("skip", [7, 1 << 16])
+def test_ensemble_rows_are_successive_mirror_runs(params, reps, events, skip):
     # row r is the free mirror run that starts where row r - 1's stopped
-    # on one unbroken uniform sequence, whatever the chunk size
-    monkeypatch.setattr(particle, "UniformStream",
-                        lambda rng: UniformStream(rng, chunk))
+    # on one unbroken uniform sequence, which starts where the generator
+    # stood: after `skip` uniforms drawn before the call
     n = 12
     g0 = particle._g0_table(n, params)
     for seed in range(3):
         start = np.random.default_rng([seed, 1]).integers(0, n, (reps, n))
-        uniforms = np.random.default_rng(seed).random(50_000).tolist()
+        uniforms = np.random.default_rng(seed).random(
+            skip + 50_000)[skip:].tolist()
         rng = np.random.default_rng(seed)
+        rng.random(skip)
         slots, counts = particle.moran_ensemble(start, events, params, rng)
         assert slots.dtype == counts.dtype == np.int32
         used = 0
@@ -151,14 +183,11 @@ def test_ensemble_rows_are_successive_mirror_runs(monkeypatch, params, reps,
             used += read
         if events == 0:
             assert used == 0 and np.array_equal(slots, start)
-        # the stream drew whole chunks and nothing past the last one needed
-        drawn = chunk * -(-used // chunk)
-        assert rng.random() == np.random.default_rng(seed).random(
-            drawn + 1)[drawn]
+        assert rng.random() == uniforms[used]
 
 
 def test_particle_run_refusals():
-    stream = UniformStream(np.random.default_rng(0))
+    stream = np.random.default_rng(0)
     slots, counts = _start([3, 1], 4)
     with pytest.raises(DomainError):  # one particle
         particle_run(slots[:1], np.ones(1, np.int32), 5, 0.5, stream,
@@ -176,8 +205,24 @@ def test_particle_run_refusals():
         particle_run(slots + 4, counts, 5, 0.5, stream)
     with pytest.raises(DomainError):
         particle_run(slots, counts, 5, 0.5, stream, g0=np.full(4, 0.1))
-    with pytest.raises(DomainError):
-        UniformStream(np.random.default_rng(0), 0)
+    assert (slots.tolist(), counts.tolist()) == ([0, 0, 0, 1], [3, 1, 0, 0])
+
+
+@pytest.mark.parametrize("rng", [np.random.RandomState(0),
+                                 np.random.PCG64(0), None],
+                         ids=["RandomState", "PCG64", "None"])
+def test_loops_refuse_an_rng_that_is_not_a_generator(rng):
+    params = GGParams.from_beta(2.0)
+    slots, counts = _start([3, 1], 4)
+    with pytest.raises(DomainError, match="Generator"):
+        particle_run(slots, counts, 5, 0.5, rng)
+    with pytest.raises(DomainError, match="Generator"):
+        particle_run(slots, counts, 5, 0.5, rng,
+                     g0=particle._g0_table(4, params))
+    with pytest.raises(DomainError, match="Generator"):
+        particle.moran_ensemble(np.stack([slots, slots]), 5, params, rng)
+    with pytest.raises(DomainError, match="Generator"):
+        simulate_chain_ensemble(N_CHAIN, 10, 1, params, 2, rng)
     assert (slots.tolist(), counts.tolist()) == ([0, 0, 0, 1], [3, 1, 0, 0])
 
 

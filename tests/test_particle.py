@@ -11,7 +11,7 @@ from nigdiff.diffusion import SimplexPoint, generator_action_power_sum
 from nigdiff.errors import DomainError, InternalConsistencyError
 from nigdiff.gibbs import (GGParams, PDParams, conditional_phi2_mean,
                            weights_batch)
-from nigdiff.particle import (ParticleSystem, UniformStream, balanced_sizes,
+from nigdiff.particle import (ParticleSystem, balanced_sizes,
                               conditioned_phi2_average, moran_ensemble,
                               moran_phi2_drift, particle_run,
                               simulate_rescaled)
@@ -99,7 +99,7 @@ def test_invariants_hold_along_moran_run(rng):
             _assert_ensemble_invariants(slots, counts, n)
     with pytest.raises(DomainError):
         particle_run(np.zeros(1, np.int32), np.ones(1, np.int32), 1,
-                     params.alpha, UniformStream(rng), g0=np.empty(0))
+                     params.alpha, rng, g0=np.empty(0))
 
 
 def test_moran_ensemble_validation(rng, monkeypatch):
@@ -195,8 +195,8 @@ def test_free_kernel_keeps_exchangeable_phi2_over_seeds(params):
         rng = np.random.default_rng([31, seed])
         slots, counts = _slot_arrays(sample_partition(n, params,
                                                       rng).block_sizes, n)
-        total = particle_run(slots, counts, events, params.alpha,
-                             UniformStream(rng), g0=g0)
+        total = particle_run(slots, counts, events, params.alpha, rng,
+                             g0=g0)
         rel.append(total / (events * n * n) / _exchangeable_phi2(n, params)
                    - 1.0)
     rel = np.array(rel)
@@ -224,9 +224,8 @@ def test_conditioned_step_preserves_k(rng):
     params = GGParams.from_beta(1.0)
     state = sample_partition(40, params, rng)
     slots, counts = _slot_arrays(state.block_sizes)
-    uniforms = UniformStream(rng)
     for _ in range(300):
-        particle_run(slots, counts, 1, params.alpha, uniforms)
+        particle_run(slots, counts, 1, params.alpha, rng)
         assert np.count_nonzero(counts) == state.K
     assert (np.bincount(slots, minlength=40) == counts).all()
 
@@ -289,7 +288,7 @@ def test_conditioned_phi2_average_validation(rng):
         conditioned_phi2_average([1], 100, 0.5, rng)
     slots, counts = _slot_arrays([2])
     with pytest.raises(DomainError):
-        particle_run(slots, counts, 10, 0.5, UniformStream(rng), burn_in=10)
+        particle_run(slots, counts, 10, 0.5, rng, burn_in=10)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +303,10 @@ def test_moran_phi2_drift_matches_single_event_mc(rng):
     start_slots, start_counts = _slot_arrays(sizes)
     sum_sq = sum(c * c for c in sizes)
     g0 = particle._g0_table(n, params)
-    uniforms = UniformStream(rng)
     deltas = np.empty(reps)
     for r in range(reps):
         deltas[r] = particle_run(start_slots.copy(), start_counts.copy(), 1,
-                                 params.alpha, uniforms, g0=g0) - sum_sq
+                                 params.alpha, rng, g0=g0) - sum_sq
     mc = deltas.mean() / 2.0
     se = deltas.std() / (2.0 * math.sqrt(reps))
     assert abs(exact - mc) < 4.0 * se
@@ -396,8 +394,7 @@ def test_simulate_rescaled_is_one_unbroken_run():
     simulate_rescaled(sys_, grid, params, np.random.default_rng(3))
     slots, counts = _slot_arrays(sizes)
     particle_run(slots, counts, int(0.3 * n * n / 2.0), params.alpha,
-                 UniformStream(np.random.default_rng(3)),
-                 g0=particle._g0_table(n, params))
+                 np.random.default_rng(3), g0=particle._g0_table(n, params))
     assert np.array_equal(sys_.slots, slots)
     assert np.array_equal(sys_.counts, counts)
     sys_.validate()
