@@ -3,14 +3,16 @@ conftest.py: the block-count chain bit for bit against the per-step
 numpy loop, the Moran loop bit for bit against its mirror in both modes,
 the ensemble's rows as successive mirror runs, each run leaving the
 generator just past the last uniform it read, under numpy's default bit
-generator and three others, the chain's law where the numpy loop's is
-wrong, the refusals, and the lazy gcc build with its cache, counted by a
-gcc wrapper in fresh processes."""
+generator and three others, runs from two threads on one generator,
+the chain's law where the numpy loop's is wrong, the refusals, and the
+lazy gcc build with its cache, counted by a gcc wrapper in fresh
+processes."""
 
 import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -125,6 +127,41 @@ def test_successive_runs_read_one_unbroken_stream():
     assert rng.random() == uniforms[used]
 
 
+def test_threads_sharing_a_generator_take_turns():
+    # ctypes releases the GIL, so two threads could draw from one
+    # generator at once; under its lock the runs take turns, whatever the
+    # order: one reads the stream from the start, the other from where
+    # the first stopped, and the generator ends past both
+    params = GGParams.from_beta(2.0)
+    n, sizes, events = 20, [8, 5, 3, 2, 1, 1], 50_000
+    g0 = particle._g0_table(n, params)
+    uniforms = np.random.default_rng(6).random(1_000_000).tolist()
+    *first, used = python_particle_run(*_start(sizes, n), events,
+                                       params.alpha, uniforms, g0=g0)
+    *second, more = python_particle_run(*_start(sizes, n), events,
+                                        params.alpha, uniforms[used:], g0=g0)
+    want = sorted([first, second])
+
+    def one_run(rng, barrier, got):
+        slots, counts = _start(sizes, n)
+        barrier.wait(timeout=60)
+        total = particle_run(slots, counts, events, params.alpha, rng, g0=g0)
+        got.append([slots.tolist(), counts.tolist(), total])
+
+    for _ in range(5):
+        rng, barrier, got = (np.random.default_rng(6), threading.Barrier(2),
+                             [])
+        threads = [threading.Thread(target=one_run, args=(rng, barrier, got))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert sorted(got) == want
+        assert rng.random() == uniforms[used + more]
+
+
 @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox,
                                   np.random.SFC64])
 def test_loops_read_any_bit_generator(bits):
@@ -187,24 +224,24 @@ def test_ensemble_rows_are_successive_mirror_runs(params, reps, events, skip):
 
 
 def test_particle_run_refusals():
-    stream = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     slots, counts = _start([3, 1], 4)
     with pytest.raises(DomainError):  # one particle
-        particle_run(slots[:1], np.ones(1, np.int32), 5, 0.5, stream,
+        particle_run(slots[:1], np.ones(1, np.int32), 5, 0.5, rng,
                      g0=np.empty(0))
     for burn_in in (-1, 5, 6):
         with pytest.raises(DomainError):
-            particle_run(slots, counts, 5, 0.5, stream, burn_in=burn_in)
+            particle_run(slots, counts, 5, 0.5, rng, burn_in=burn_in)
     with pytest.raises(DomainError):
-        particle_run(slots, counts, 5, 1.0, stream)
+        particle_run(slots, counts, 5, 1.0, rng)
     with pytest.raises(DomainError):
-        particle_run(slots.astype(np.int64), counts, 5, 0.5, stream)
+        particle_run(slots.astype(np.int64), counts, 5, 0.5, rng)
     with pytest.raises(DomainError):
-        particle_run(slots, counts[::-1], 5, 0.5, stream)
+        particle_run(slots, counts[::-1], 5, 0.5, rng)
     with pytest.raises(DomainError):
-        particle_run(slots + 4, counts, 5, 0.5, stream)
+        particle_run(slots + 4, counts, 5, 0.5, rng)
     with pytest.raises(DomainError):
-        particle_run(slots, counts, 5, 0.5, stream, g0=np.full(4, 0.1))
+        particle_run(slots, counts, 5, 0.5, rng, g0=np.full(4, 0.1))
     assert (slots.tolist(), counts.tolist()) == ([0, 0, 0, 1], [3, 1, 0, 0])
 
 
