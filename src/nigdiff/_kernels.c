@@ -60,10 +60,9 @@ int64_t chain_run(bitgen_t *bg, int64_t reps, int64_t steps,
  * until j = floor(u n) differs from i and a c < c - alpha, with c the
  * post-removal count of j's type; the incoming particle copies that type.
  *
- * The number of types and the sum of squares of a row are read from its
- * counts when the row is entered.  Returns the sum, over every row's
- * events numbered above burn_in, of the sum of squared counts after the
- * event. */
+ * A row's counts, types and sum of squared counts are rebuilt from its
+ * slots when the row starts.  Returns the sum, over every row's events
+ * numbered above burn_in, of the sum of squared counts after the event. */
 int64_t particle_run(bitgen_t *bg, int64_t reps, int32_t n, double alpha,
                      const double *g0, int64_t events, int64_t burn_in,
                      int32_t *slots, int32_t *counts)
@@ -74,9 +73,11 @@ int64_t particle_run(bitgen_t *bg, int64_t reps, int32_t n, double alpha,
     for (int64_t row = 0; row < reps; row++) {
         int32_t *sl = slots + row * n, *ct = counts + row * n;
         int64_t k = 0, ssq = 0;
-        for (int32_t t = 0; t < n; t++) {
-            k += ct[t] != 0;
-            ssq += (int64_t)ct[t] * ct[t];
+        memset(ct, 0, (size_t)n * sizeof(int32_t));
+        for (int32_t p = 0; p < n; p++) {
+            int64_t c = ct[sl[p]]++;
+            k += c == 0;
+            ssq += 2 * c + 1;
         }
         for (int64_t done = 1; done <= events; done++) {
             int32_t i = (int32_t)(next(st) * n);

@@ -41,6 +41,7 @@ space, so they need no cancellation control.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from dataclasses import dataclass
 
@@ -451,7 +452,19 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
         rho = rho[:-1] * d[1:] / d[:-1]  # rho(m+1, k)
         d = (m - ak[:rho.size]) + rho
         rows[m - m0, :rho.size] = rho / d
+    rows.flags.writeable = False  # read-only, as _row_cache shares it
     return rows
+
+
+_row_cache = functools.lru_cache(maxsize=64)(_g0_rows)
+
+
+def _g0_cached(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
+    """``_g0_rows`` from ``_row_cache``, which the scalar urn's bands and
+    the particle engines' rows share across calls; GG or PD params only."""
+    if not isinstance(params, (GGParams, PDParams)):
+        raise DomainError(f"unsupported parameter type {type(params)!r}")
+    return _row_cache(m0, m1, lo, hi, params)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,8 @@ rejection: pick a uniform surviving particle of type t, accept with
 probability (n_t - alpha)/n_t, which makes every event O(1) regardless
 of the number of types.  The conditioned variant takes g0 := [the
 removed particle was a singleton], so K never changes.  The free
-variant reads g0(n-1, k_r), k_r = 1..n-1, from one table built from one
-row of the batch weight evaluator (``gibbs.weights_batch``) and passed
-through the engines' one row check (``gibbs._check_weight_row``) before
-any event runs.
+variant reads g0(n-1, k_r), k_r = 1..n-1, from one checked evaluator
+row, cached read-only with the urn's rows (``gibbs._g0_cached``).
 
 The dynamics run on one engine, compiled C (``_kernels.c``, built by
 gcc once per source and loaded on the first call in a process) on flat
@@ -39,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
 from .gibbs import (GGParams, _check_block_sizes, _check_weight_row,
-                    weights_batch)
+                    _g0_cached, weights_batch)
 from .urn import PartitionState, sample_partition
 
 
@@ -106,12 +104,8 @@ class ParticleSystem:
 
 
 def _g0_table(n: int, params) -> np.ndarray:
-    """g0(n-1, k) for k = 1..n-1 from one evaluator row, checked by
-    ``gibbs._check_weight_row`` before any use."""
-    k = np.arange(1, n)
-    g0, g1 = weights_batch(n - 1, k, params)
-    _check_weight_row(n - 1, k, g0, g1, params.alpha)
-    return g0
+    """g0(n-1, k) for k = 1..n-1, the cached, checked evaluator row."""
+    return _g0_cached(n - 1, n - 1, 1, n - 1, params)[0]
 
 
 def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
@@ -123,8 +117,8 @@ def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     the type held in slot ``slots[r, j]``, 0 <= slot < n (a broadcast
     view such as ``np.broadcast_to(start, (R, n))`` is copied).  Returns
     the final ``(slots, counts)``, two int32 (R, n) arrays with
-    ``counts[r, t]`` the number of particles of replica r in slot t.
-    g0 is read from one table over k_r = 1..n-1 built per call.
+    ``counts[r, t]`` the number of particles of replica r in slot t,
+    counted in the loop.  g0 is read from the cached ``_g0_table``.
     """
     slots = np.asarray(slots)
     if slots.ndim != 2:
@@ -140,9 +134,7 @@ def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
         raise DomainError("slots must lie in 0..n-1")
     g0 = _g0_table(n, params)
     slots = np.array(slots, dtype=np.int32, order="C")
-    flat = (slots + np.arange(0, reps * n, n)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=reps * n).astype(np.int32).reshape(
-        reps, n)
+    counts = np.empty((reps, n), np.int32)
     # burn_in = events: no sum_sq is summed, so R rows cannot overflow it
     _kernels.run("particle_run", rng, reps, n, params.alpha, g0.ctypes.data,
                  events, events, slots.ctypes.data, counts.ctypes.data)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 # Every sampler takes an np.random.Generator and cli._rng builds one, so
@@ -19,13 +18,9 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_rows
+from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_rows, _g0_cached
 
 _STEP_BLOCK = 64  # urn steps per evaluator row
-# sample_partition's blocks, each over a band of _STEP_BLOCK block counts
-# at its start: urns on other seeds, and the many small urns of the CLI's
-# eppf-check, reuse the few bands they reach
-_partition_rows = lru_cache(maxsize=64)(_g0_rows)
 
 
 @dataclass
@@ -77,8 +72,7 @@ def sample_partition(n: int, params, rng: np.random.Generator
     probability (n_j - alpha)/(m - alpha K), which is
     g1 (n_j - alpha)/(1 - g0) by the Gibbs constraint."""
     if not isinstance(params, (GGParams, PDParams)):
-        raise DomainError(f"sample_partition needs GGParams or PDParams, "
-                          f"not {type(params).__name__}")
+        raise DomainError(f"unsupported parameter type {type(params)!r}")
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     alpha = params.alpha
@@ -86,7 +80,7 @@ def sample_partition(n: int, params, rng: np.random.Generator
     for m0 in range(1, n, _STEP_BLOCK):
         m1 = min(n - 1, m0 + _STEP_BLOCK - 1)
         lo = len(sizes) - (len(sizes) - 1) % _STEP_BLOCK
-        rows = _partition_rows(m0, m1, lo, lo + _STEP_BLOCK - 1, params)
+        rows = _g0_cached(m0, m1, lo, lo + _STEP_BLOCK - 1, params)
         for i, u in enumerate(rng.random(m1 - m0 + 1).tolist()):
             k = len(sizes)
             g0 = rows.item(i, k - lo)

@@ -2,7 +2,8 @@
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
 the direct alternating sum used as the reference for the exact route,
 pure-Python references for the two compiled event loops, the
-step-by-step batch urn, and the per-state chain transition tables."""
+step-by-step batch urn, the per-state chain transition tables, and a
+fixture that clears the shared g0 row cache."""
 
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from nigdiff import gibbs
 from nigdiff.errors import NumericalError
 from nigdiff.gibbs import (GGParams, PDParams, _check_nk, weights_batch,
                            weights_gg_asymptotic, weights_gg_quadrature,
@@ -337,6 +339,16 @@ def stepwise_transition_tables(n, params, mode):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_row_cache():
+    """Clear the g0 row cache that the urn and the particle engines share
+    before and after the test, so that the test builds its own rows (from
+    a patched evaluator, say) and leaves none of them behind."""
+    gibbs._row_cache.cache_clear()
+    yield
+    gibbs._row_cache.cache_clear()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,12 +1,12 @@
 """The compiled event loops against their pure-Python references in
 conftest.py: the block-count chain bit for bit against the per-step
 numpy loop, the Moran loop bit for bit against its mirror in both modes,
-the ensemble's rows as successive mirror runs, each run leaving the
-generator just past the last uniform it read, under numpy's default bit
-generator and three others, runs from two threads on one generator,
-the chain's law where the numpy loop's is wrong, the refusals, and the
-lazy gcc build with its cache, counted by a gcc wrapper in fresh
-processes."""
+the ensemble's rows as successive mirror runs with counts rebuilt from
+their slots, each run leaving the generator just past the last uniform
+it read, under numpy's default bit generator and three others, runs from
+two threads on one generator, the chain's law where the numpy loop's is
+wrong, the refusals, a warning-free compile of the source, and the lazy
+gcc build with its cache, counted by a gcc wrapper in fresh processes."""
 
 import os
 import shutil
@@ -221,6 +221,43 @@ def test_ensemble_rows_are_successive_mirror_runs(params, reps, events, skip):
         if events == 0:
             assert used == 0 and np.array_equal(slots, start)
         assert rng.random() == uniforms[used]
+
+
+@pytest.mark.parametrize("events", [0, 30])
+def test_ensemble_counts_each_row_from_its_slots(events):
+    # the loop rebuilds a row's counts from its slots alone: labels with
+    # gaps, out of first-appearance order and different in every row
+    params, n = GGParams.from_beta(2.0), 10
+    start = np.array([[9, 9, 2, 2, 2, 7, 0, 0, 5, 9],
+                      [3, 8, 8, 1, 1, 1, 1, 6, 6, 3],
+                      [4] * n,
+                      list(range(n - 1, -1, -1)),
+                      [5, 0, 5, 0, 5, 0, 5, 0, 5, 0]])
+    g0 = particle._g0_table(n, params)
+    for seed in range(3):
+        uniforms = np.random.default_rng(seed).random(50_000).tolist()
+        slots, counts = particle.moran_ensemble(start, events, params,
+                                                np.random.default_rng(seed))
+        used = 0
+        for r, row in enumerate(start):
+            want_slots, want_counts, _, read = python_particle_run(
+                row, np.bincount(row, minlength=n), events, params.alpha,
+                uniforms[used:], g0=g0)
+            assert slots[r].tolist() == want_slots
+            assert counts[r].tolist() == want_counts
+            assert np.array_equal(counts[r],
+                                  np.bincount(slots[r], minlength=n))
+            used += read
+        if events == 0:
+            assert np.array_equal(slots, start) and used == 0
+
+
+def test_kernel_source_compiles_without_warnings():
+    # the source stays free of gcc's common and conversion warnings
+    proc = subprocess.run(["gcc", "-Wall", "-Wextra", "-Wconversion",
+                           "-Werror", "-fsyntax-only", _kernels._SOURCE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_particle_run_refusals():

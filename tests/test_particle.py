@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nigdiff import particle
+from nigdiff import gibbs, particle
 from nigdiff.diffusion import SimplexPoint, generator_action_power_sum
 from nigdiff.errors import DomainError, InternalConsistencyError
 from nigdiff.gibbs import (GGParams, PDParams, conditional_phi2_mean,
@@ -102,7 +102,7 @@ def test_invariants_hold_along_moran_run(rng):
                      params.alpha, rng, g0=np.empty(0))
 
 
-def test_moran_ensemble_validation(rng, monkeypatch):
+def test_moran_ensemble_validation(rng, monkeypatch, fresh_row_cache):
     params = GGParams.from_beta(2.0)
     with pytest.raises(DomainError):
         moran_ensemble(np.zeros((3, 1), dtype=int), 5, params, rng)
@@ -112,6 +112,8 @@ def test_moran_ensemble_validation(rng, monkeypatch):
         moran_ensemble(np.array([[0, 1, 4]]), 5, params, rng)
     with pytest.raises(DomainError):
         moran_ensemble(np.zeros((2, 3), dtype=int), 5, object(), rng)
+    with pytest.raises(DomainError):  # refused before the cache hashes it
+        moran_ensemble(np.zeros((2, 3), dtype=int), 5, {"beta": 2.0}, rng)
     # refused in the caller's dtype, before an int32 cast could wrap
     # 2**32 + 2 to 2 or truncate 1.7 to 1
     with pytest.raises(DomainError):
@@ -119,16 +121,19 @@ def test_moran_ensemble_validation(rng, monkeypatch):
     with pytest.raises(DomainError):
         moran_ensemble(np.array([[0, 1.7, 2]]), 5, params, rng)
     # a weight table whose entries do not sum to one is refused up front
-    monkeypatch.setattr(particle, "weights_batch",
+    monkeypatch.setattr(gibbs, "weights_batch",
                         lambda n, k, p: (np.full(k.shape, 0.5),
                                          np.full(k.shape, 1.0 / n)))
     with pytest.raises(InternalConsistencyError):
         moran_ensemble(np.zeros((2, 3), dtype=int), 0, params, rng)
 
 
-def test_g0_table_and_drift_refuse_g0_outside_unit_interval(monkeypatch):
+def test_g0_table_and_drift_refuse_g0_outside_unit_interval(
+        monkeypatch, fresh_row_cache):
     # the replacement probabilities sum to one: only the range check
-    # refuses the row
+    # refuses the row, which the table reads through gibbs._g0_rows and
+    # the drift from its own evaluator call
+    monkeypatch.setattr(gibbs, "weights_batch", g0_above_one)
     monkeypatch.setattr(particle, "weights_batch", g0_above_one)
     params = GGParams.from_beta(2.0)
     with pytest.raises(InternalConsistencyError):

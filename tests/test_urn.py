@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nigdiff import gibbs, urn
+from nigdiff import gibbs, particle
 from nigdiff.errors import (DomainError, InternalConsistencyError)
 from nigdiff.gibbs import (GGParams, PDParams, eppf, integer_partitions,
-                           log_v, shape_count)
+                           log_v, shape_count, weights_batch)
+from nigdiff.particle import ParticleSystem, moran_ensemble, simulate_rescaled
 from nigdiff.specfun import gen_factorial_coeff, gen_factorial_coeff_log_table
 from nigdiff.urn import (GemWeights, PartitionState, ordered_frequencies,
                          sample_gem, sample_k_batch, sample_partition)
@@ -152,17 +153,52 @@ def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
     assert max(calls) < 2 * 64
 
 
+@pytest.mark.parametrize("params", [GGParams.from_beta(1.414213562),
+                                    GGParams(a=0.0),
+                                    PDParams(theta=1.5, alpha=0.3)],
+                         ids=["gg", "a0", "pd"])
+def test_particle_engines_share_one_cached_row(monkeypatch, fresh_row_cache,
+                                               params):
+    # two ensembles and one rescaled run at one (n, params) read g0 from
+    # one evaluator row, the kernel's under GG params and a closed form
+    # otherwise; the row is the evaluator's bit for bit and read-only
+    calls = {"weights_batch": 0, "_log_v_w": 0}
+
+    def counting(name):
+        fn = getattr(gibbs, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gibbs, name, counting(name))
+    n = 40
+    start = np.broadcast_to(np.arange(n) % 7, (5, n))
+    for seed in (0, 1):
+        moran_ensemble(start, 200, params, np.random.default_rng(seed))
+    simulate_rescaled(ParticleSystem(range(n)), [0.0, 0.05], params,
+                      np.random.default_rng(2))
+    kernel_rows = 1 if isinstance(params, GGParams) and params.a else 0
+    assert calls == {"weights_batch": 1, "_log_v_w": kernel_rows}
+    row = particle._g0_table(n, params)
+    want = weights_batch(n - 1, np.arange(1, n), params)[0]
+    assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        row[0] = 0.5
+
+
 @pytest.mark.parametrize("draw", [
     lambda params, rng: sample_k_batch(100, params, 10, rng),
     lambda params, rng: sample_partition(100, params, rng),
 ], ids=["sample_k_batch", "sample_partition"])
-def test_urns_refuse_a_row_with_g0_outside_unit_interval(monkeypatch, draw):
+def test_urns_refuse_a_row_with_g0_outside_unit_interval(
+        monkeypatch, fresh_row_cache, draw):
     # the evaluator row is checked, not clipped into [0, 1]
     monkeypatch.setattr(gibbs, "weights_batch", g0_above_one)
-    urn._partition_rows.cache_clear()  # sample_partition's rows are cached
     with pytest.raises(InternalConsistencyError):
         draw(GGParams.from_beta(3.25), np.random.default_rng(0))
-    urn._partition_rows.cache_clear()
 
 
 def test_sample_k_batch_agrees_with_scalar_urn(rng):
@@ -194,7 +230,7 @@ def test_sample_k_batch_validation(rng):
     for n in (0, -3, 10.0, 2.5, "10"):
         with pytest.raises(DomainError):
             sample_partition(n, params, rng)
-    for bad in ("beta=1", None, object()):
+    for bad in ("beta=1", None, object(), {"beta": 1.0}):
         with pytest.raises(DomainError):
             sample_partition(10, bad, rng)
     assert (sample_partition(np.int64(12), params,
