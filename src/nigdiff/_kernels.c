@@ -1,10 +1,10 @@
-/* Event loops of the block-count chain and of the Moran dynamics, the
- * one engine of both the long single trajectories and the ensembles of
- * short replicas.  Both draw their uniforms from numpy's bit generator,
- * one next_double call per uniform, which is how Generator.random fills
- * its output; so a run reads the same uniforms in the same order as a
- * loop over rng.random() would, and leaves the generator just past the
- * last one.  Built and loaded by _kernels.py. */
+/* Event loops of the block-count chain, of the Moran dynamics and of
+ * the batch urn, and the Gibbs-triangle descent the urns read g0 from.
+ * The loops draw their uniforms from numpy's bit generator, one
+ * next_double call per uniform, which is how Generator.random fills its
+ * output; so a run reads the same uniforms in the same order as a loop
+ * over rng.random() would, and leaves the generator just past the last
+ * one.  Built and loaded by _kernels.py. */
 
 #include <stdint.h>
 #include <string.h>
@@ -120,4 +120,39 @@ int64_t particle_run(bitgen_t *bg, int64_t reps, int32_t n, double alpha,
         }
     }
     return acc;
+}
+
+/* The rows m = m1 - 1 down to m0 of the Gibbs triangle below row m1,
+ * at rows[(m - m0) width + k - lo] for k = lo.. up to one fewer per
+ * step down; the caller sets row m1 and, over its `width` entries,
+ * rho = rho(m1 + 1, k) and d = d(m1, k), which are overwritten.  Each
+ * step takes rho = rho d[k+1] / d[k], d = (m - alpha k) + rho and
+ * g0 = rho / d, the operations of numpy's loop in its order. */
+void g0_descend(int64_t m0, int64_t m1, int64_t lo, int64_t width,
+                double alpha, double *rho, double *d, double *rows)
+{
+    for (int64_t m = m1 - 1; m >= m0; m--) {
+        double *row = rows + (m - m0) * width;
+        int64_t w = width - (m1 - m);
+        for (int64_t j = 0; j < w; j++) {
+            rho[j] = rho[j] * d[j + 1] / d[j];
+            d[j] = ((double)m - alpha * (double)(lo + j)) + rho[j];
+            row[j] = rho[j] / d[j];
+        }
+    }
+}
+
+/* `steps` urn steps of `reps` runs, step-major: at step s run r opens a
+ * new block, k[r] += 1, when its uniform is below
+ * rows[s width + k[r] - lo]. */
+void urn_run(bitgen_t *bg, int64_t reps, int64_t steps, int64_t width,
+             int64_t lo, const double *rows, int64_t *k)
+{
+    double (*next)(void *) = bg->next_double;
+    void *st = bg->state;
+    for (int64_t s = 0; s < steps; s++) {
+        const double *row = rows + s * width;
+        for (int64_t r = 0; r < reps; r++)
+            k[r] += next(st) < row[k[r] - lo];
+    }
 }

@@ -1,7 +1,9 @@
 """Loader of ``_kernels.c``, the compiled event loops of the block-count
-chain (``chain_run``) and of the Moran dynamics (``particle_run``), and
-``run``, which calls one of them on the bit generator of a numpy
-``Generator``.
+chain (``chain_run``), of the Moran dynamics (``particle_run``) and of
+the batch urn (``urn_run``), and the Gibbs-triangle descent of the urns'
+g0 rows (``g0_descend``, which draws nothing and is called through
+``lib()``); ``run`` calls one of the loops on the bit generator of a
+numpy ``Generator``, which ``require_generator`` checks.
 
 The first call of ``lib`` in a process loads the library from a cache
 keyed by content, so a given source is compiled once per machine:
@@ -148,17 +150,28 @@ def lib() -> ctypes.CDLL:
     so.particle_run.restype = _I64
     so.particle_run.argtypes = [_PTR, _I64, ctypes.c_int32, ctypes.c_double,
                                 _PTR, _I64, _I64, _PTR, _PTR]
+    so.g0_descend.restype = None
+    so.g0_descend.argtypes = [_I64] * 4 + [ctypes.c_double] + [_PTR] * 3
+    so.urn_run.restype = None
+    so.urn_run.argtypes = [_PTR] + [_I64] * 4 + [_PTR] * 2
     return so
 
 
-def run(kernel: str, rng, *args) -> int:
-    """Call ``kernel`` of ``lib()`` with the ``bitgen_t *`` of the numpy
-    ``Generator`` ``rng``, which it draws from, and then ``args``; anything
-    but a ``Generator`` raises ``DomainError``.  The call holds the bit
-    generator's lock, since ctypes releases the GIL while it runs."""
+def require_generator(rng) -> None:
+    """Raise ``DomainError`` unless ``rng`` is a numpy ``Generator``, the
+    one kind of rng the loops and the samplers take."""
     if not isinstance(rng, np.random.Generator):
         raise DomainError("rng must be a numpy Generator, not "
                           f"{type(rng).__name__}")
+
+
+def run(kernel: str, rng, *args) -> int | None:
+    """Call ``kernel`` of ``lib()`` with the ``bitgen_t *`` of the numpy
+    ``Generator`` ``rng``, which it draws from, and then ``args``, and
+    return its result; anything but a ``Generator`` raises
+    ``DomainError``.  The call holds the bit generator's lock, since
+    ctypes releases the GIL while it runs."""
+    require_generator(rng)
     fn, bits = getattr(lib(), kernel), rng.bit_generator
     with bits.lock:
         return fn(bits.ctypes.bit_generator, *args)

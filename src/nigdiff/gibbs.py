@@ -30,7 +30,8 @@ closed forms, which ``weights_pd`` and the a = 0 scalar routes read.
 Every engine table passes one row check, ``_check_weight_row``.  The
 urns read one evaluator row per block of steps and fill in the rows
 below it by the positive recursion of the Gibbs triangle,
-V(n, k) = (n - alpha*k) V(n+1, k) + V(n+1, k+1).
+V(n, k) = (n - alpha*k) V(n+1, k) + V(n+1, k+1), run compiled
+(``_kernels.c`` ``g0_descend``).
 
 The partition laws (EPPF, singleton-count law and its factorial
 moments) are sums of positive terms V(n, k) times weighted partition
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import (DomainError, InternalConsistencyError, NumericalError,
                      UnsupportedParameterError)
 from .specfun import gen_factorial_coeff_log_table
@@ -438,20 +440,22 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
         g0(m, k) = rho(m+1, k) / d(m, k),
 
     from rho(m1+1, k) = g0/g1 of the evaluator row.  Each row needs one
-    more k above it, so the rows narrow by one per step down.
+    more k above it, so the rows narrow by one per step down.  The rows
+    below m1 come from ``_kernels.c`` ``g0_descend``, which takes these
+    operations in the order a numpy loop over rows would, so they match
+    that loop bit for bit; with m0 = m1 nothing is compiled.
     """
     k = np.arange(lo, min(m1, hi + m1 - m0) + 1.0)
     g0, g1 = weights_batch(m1, k, params)
     _check_weight_row(m1, k, g0, g1, params.alpha)
     rows = np.full((m1 - m0 + 1, k.size), np.nan)
     rows[-1] = g0
-    ak = params.alpha * k
-    rho = g0 / g1
-    d = (m1 - ak) + rho
-    for m in range(m1 - 1, m0 - 1, -1):
-        rho = rho[:-1] * d[1:] / d[:-1]  # rho(m+1, k)
-        d = (m - ak[:rho.size]) + rho
-        rows[m - m0, :rho.size] = rho / d
+    if m1 > m0:
+        rho = g0 / g1  # rho(m1 + 1, k)
+        d = (m1 - params.alpha * k) + rho
+        _kernels.lib().g0_descend(m0, m1, lo, k.size, params.alpha,
+                                  rho.ctypes.data, d.ctypes.data,
+                                  rows.ctypes.data)
     rows.flags.writeable = False  # read-only, as _row_cache shares it
     return rows
 

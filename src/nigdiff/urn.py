@@ -4,7 +4,11 @@ stick-breaking, plus partition statistics.
 The urn grows one observation at a time: a new type appears with
 probability g0(n, k), and an existing type of current size n_j is
 reinforced with probability g1(n, k) * (n_j - alpha).  Both urn
-samplers read g0 one block of steps at a time from ``gibbs._g0_rows``.
+samplers read g0 one block of steps at a time from ``gibbs._g0_rows``,
+whose rows below the block's evaluator row come from the compiled
+Gibbs-triangle descent; the batch urn's steps run compiled too
+(``_kernels.c`` ``urn_run``).  Every sampler takes a numpy
+``Generator`` and refuses anything else with ``DomainError``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import numpy as np
 # load numpy.random with the package rather than inside the first call.
 import numpy.random  # noqa: F401
 
+from . import _kernels
 from .errors import DomainError, InternalConsistencyError
 from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_rows, _g0_cached
 
-_STEP_BLOCK = 64  # urn steps per evaluator row
+_STEP_BLOCK = 64  # scalar urn steps per evaluator row, cached in bands
+_BATCH_BLOCK = 256  # batch urn steps per evaluator row, uncached
 
 
 @dataclass
@@ -75,6 +81,7 @@ def sample_partition(n: int, params, rng: np.random.Generator
         raise DomainError(f"unsupported parameter type {type(params)!r}")
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    _kernels.require_generator(rng)
     alpha = params.alpha
     sizes = [1]
     for m0 in range(1, n, _STEP_BLOCK):
@@ -101,10 +108,14 @@ def sample_partition(n: int, params, rng: np.random.Generator
 def sample_k_batch(n: int, params: GGParams, replicates: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Number of blocks K_n in ``replicates`` independent urn runs,
-    grown jointly, one uniform per replicate and step.  The steps run in
-    blocks of _STEP_BLOCK: each block reads g0 for every state its runs
-    can reach from one evaluator row at its last step and the positive
-    Gibbs-triangle recursion below it (``gibbs._g0_rows``)."""
+    grown jointly, one uniform per replicate and step, step-major, as
+    one ``rng.random(replicates)`` per step would draw them: a run at
+    (m, k) opens a new block when its uniform is below g0(m, k).  The
+    steps run in blocks of _BATCH_BLOCK: each block reads g0 for every
+    state its runs can reach from one evaluator row at its last step and
+    the positive Gibbs-triangle recursion below it (``gibbs._g0_rows``),
+    and its steps run in ``_kernels.c`` ``urn_run``, which leaves the
+    generator (n - 1) * replicates uniforms on."""
     if not isinstance(params, GGParams):
         raise DomainError(f"sample_k_batch needs GGParams, not "
                           f"{type(params).__name__}")
@@ -113,15 +124,16 @@ def sample_k_batch(n: int, params: GGParams, replicates: int,
     if not isinstance(replicates, numbers.Integral) or replicates < 0:
         raise DomainError(f"replicates must be an integer >= 0, "
                           f"got {replicates!r}")
+    _kernels.require_generator(rng)
     k = np.ones(replicates, dtype=np.int64)
     if replicates == 0:
         return k
-    for m0 in range(1, n, _STEP_BLOCK):
-        m1 = min(n - 1, m0 + _STEP_BLOCK - 1)
+    for m0 in range(1, n, _BATCH_BLOCK):
+        m1 = min(n - 1, m0 + _BATCH_BLOCK - 1)
         lo = int(k.min())
         rows = _g0_rows(m0, m1, lo, int(k.max()), params)
-        for row in rows:
-            k += rng.random(replicates) < row[k - lo]
+        _kernels.run("urn_run", rng, replicates, m1 - m0 + 1, rows.shape[1],
+                     lo, rows.ctypes.data, k.ctypes.data)
     return k
 
 
@@ -132,8 +144,7 @@ def sample_gem(params: PDParams, epsilon: float = 1e-10,
     stick is below ``epsilon``."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must be in (0, 1)")
-    if rng is None:
-        raise DomainError("an explicit rng is required")
+    _kernels.require_generator(rng)
     theta, alpha = params.theta, params.alpha
     weights = []
     residual = 1.0

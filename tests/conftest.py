@@ -1,9 +1,10 @@
 """Shared test helpers: set-partition enumeration, the
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
 the direct alternating sum used as the reference for the exact route,
-pure-Python references for the two compiled event loops, the
-step-by-step batch urn, the per-state chain transition tables, and a
-fixture that clears the shared g0 row cache."""
+numpy and pure-Python references for the compiled loops and the
+compiled Gibbs-triangle descent, the step-by-step batch urn, the
+per-state chain transition tables, and a fixture that clears the shared
+g0 row cache."""
 
 import math
 from fractions import Fraction
@@ -15,9 +16,9 @@ from scipy import integrate
 
 from nigdiff import gibbs
 from nigdiff.errors import NumericalError
-from nigdiff.gibbs import (GGParams, PDParams, _check_nk, weights_batch,
-                           weights_gg_asymptotic, weights_gg_quadrature,
-                           weights_pd)
+from nigdiff.gibbs import (GGParams, PDParams, _check_nk, _check_weight_row,
+                           weights_batch, weights_gg_asymptotic,
+                           weights_gg_quadrature, weights_pd)
 
 
 def set_partitions(items):
@@ -243,6 +244,35 @@ def numpy_chain_ensemble(p_up, p_down, steps, k0, replicates, rng,
             out[row] = k
             row += 1
     return out[:row]
+
+
+def numpy_g0_rows(m0, m1, lo, hi, params):
+    """``gibbs._g0_rows`` as a numpy loop over the rows below the
+    evaluator row m1: rho = rho d[k+1] / d[k], d = (m - alpha k) + rho and
+    g0 = rho / d, one row shorter per step down."""
+    k = np.arange(lo, min(m1, hi + m1 - m0) + 1.0)
+    g0, g1 = weights_batch(m1, k, params)
+    _check_weight_row(m1, k, g0, g1, params.alpha)
+    rows = np.full((m1 - m0 + 1, k.size), np.nan)
+    rows[-1] = g0
+    ak = params.alpha * k
+    rho = g0 / g1
+    d = (m1 - ak) + rho
+    for m in range(m1 - 1, m0 - 1, -1):
+        rho = rho[:-1] * d[1:] / d[:-1]  # rho(m+1, k)
+        d = (m - ak[:rho.size]) + rho
+        rows[m - m0, :rho.size] = rho / d
+    return rows
+
+
+def numpy_urn_run(rows, lo, k, rng):
+    """The batch urn's steps over g0 ``rows`` starting at block count
+    ``lo``, one ``rng.random(k.size)`` per row, on a copy of ``k``: a run
+    gains a block when its uniform is below its row's g0."""
+    k = k.copy()
+    for row in rows:
+        k += rng.random(k.size) < row[k - lo]
+    return k
 
 
 def python_particle_run(slots, counts, events, alpha, uniforms, g0=None,

@@ -21,7 +21,8 @@ from nigdiff.gibbs import (GGParams, PDParams, conditional_pair_probability,
 from nigdiff.specfun import pochhammer
 from nigdiff.urn import sample_partition
 
-from conftest import adaptive_log_v, direct_exact_weights, set_partitions
+from conftest import (adaptive_log_v, direct_exact_weights, numpy_g0_rows,
+                      set_partitions)
 
 BETAS = (0.5, 2.0, 10.0)
 
@@ -357,6 +358,26 @@ def test_g0_rows_recursion_matches_kernel_triangle(params):
 
 def test_g0_rows_recursion_matches_kernel_far_out():
     _assert_rows_match_kernel(4993, 5056, 120, 190, gg(2.0))
+
+
+@pytest.mark.parametrize("params", [gg(0.5), gg(2.0), gg(10.0),
+                                    GGParams(a=0.0),
+                                    GGParams.from_beta(2.0, alpha=0.3),
+                                    GGParams.from_beta(2.0, alpha=0.8),
+                                    PDParams(theta=1.5, alpha=0.3)],
+                         ids=["beta0.5", "beta2", "beta10", "a0", "alpha0.3",
+                              "alpha0.8", "pd"])
+def test_g0_rows_descent_equals_numpy_loop(params):
+    # the compiled descent takes the numpy loop's operations in its order,
+    # so the rows agree bit for bit, nan where no urn can reach; bands
+    # with no descent (m0 = m1), one entry wide (rows below it empty), the
+    # whole triangle to m = 400, and far out
+    for band in ((50, 50, 3, 20), (20, 20, 7, 7), (6, 9, 9, 9),
+                 (1, 400, 1, 1), (4993, 5056, 120, 190)):
+        got = gibbs._g0_rows(*band, params)
+        want = numpy_g0_rows(*band, params)
+        assert got.shape == want.shape, band
+        assert np.array_equal(got, want, equal_nan=True), band
 
 
 # ---------------------------------------------------------------------------

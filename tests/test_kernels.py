@@ -1,14 +1,18 @@
-"""The compiled event loops against their pure-Python references in
+"""The compiled loops against their numpy and pure-Python references in
 conftest.py: the block-count chain bit for bit against the per-step
 numpy loop, the Moran loop bit for bit against its mirror in both modes,
 the ensemble's rows as successive mirror runs with counts rebuilt from
-their slots, each run leaving the generator just past the last uniform
-it read, under numpy's default bit generator and three others, runs from
-two threads on one generator, the chain's law where the numpy loop's is
-wrong, the refusals, a warning-free compile of the source, and the lazy
-gcc build with its cache, counted by a gcc wrapper in fresh processes."""
+their slots, the batch urn's steps against the per-step numpy loop, each
+run leaving the generator just past the last uniform it read, under
+numpy's default bit generator and three others, runs from two threads on
+one generator, the chain's law where the numpy loop's is wrong, the
+refusals, a warning-free compile of the source, ctypes signatures for
+every function in it, and the lazy gcc build with its cache, counted by
+a gcc wrapper in fresh processes."""
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,13 +22,14 @@ import numpy as np
 import pytest
 
 import nigdiff
-from nigdiff import _kernels, diffusion, particle
+from nigdiff import _kernels, diffusion, gibbs, particle
 from nigdiff.diffusion import _transition_tables, simulate_chain_ensemble
 from nigdiff.errors import DomainError, KernelCompileError
 from nigdiff.gibbs import GGParams, PDParams
 from nigdiff.particle import particle_run
 
-from conftest import numpy_chain_ensemble, python_particle_run
+from conftest import (numpy_chain_ensemble, numpy_urn_run,
+                      python_particle_run)
 
 N_CHAIN = 40
 
@@ -87,6 +92,11 @@ def test_chain_law_where_moves_could_overlap(monkeypatch):
 def _start(sizes, n):
     slots = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     return slots, np.bincount(slots, minlength=n).astype(np.int32)
+
+
+def _urn_run(rows, lo, k, rng):
+    _kernels.run("urn_run", rng, k.size, rows.shape[0], rows.shape[1], lo,
+                 rows.ctypes.data, k.ctypes.data)
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(0.5),
@@ -188,6 +198,33 @@ def test_loops_read_any_bit_generator(bits):
     want = numpy_chain_ensemble(p_up, p_down, 2_000, 1, 3, rng_b, 7)
     assert np.array_equal(got, want)
     assert rng_a.random() == rng_b.random()
+    rows, k = gibbs._g0_rows(1, 299, 1, 1, params), np.ones(5, np.int64)
+    rng_a, rng_b = np.random.Generator(bits(9)), np.random.Generator(bits(9))
+    want = numpy_urn_run(rows, 1, k, rng_b)
+    _urn_run(rows, 1, k, rng_a)
+    assert np.array_equal(k, want)
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("params", [GGParams.from_beta(0.5),
+                                    GGParams.from_beta(10.0, alpha=0.3),
+                                    PDParams(theta=1.5, alpha=0.3)],
+                         ids=["beta0.5", "alpha0.3", "pd"])
+def test_urn_run_matches_numpy_loop(params):
+    # runs that start at several block counts above the band's lowest,
+    # over a band of rows that starts far from k = 1
+    m0, lo, hi = 400, 20, 31
+    rows = gibbs._g0_rows(m0, m0 + 299, lo, hi, params)
+    for seed in range(3):
+        k0 = np.random.default_rng([seed, 1]).integers(lo, hi + 1, 50)
+        for steps in (0, 1, 300):
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            k = k0.copy()
+            want = numpy_urn_run(rows[:steps], lo, k, rng_b)
+            _urn_run(rows[:steps], lo, k, rng_a)
+            assert np.array_equal(k, want)
+            assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
@@ -260,6 +297,30 @@ def test_kernel_source_compiles_without_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
+_CTYPES = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32,
+           "double": ctypes.c_double, "void": None}
+
+
+def test_every_kernel_has_its_ctypes_signature():
+    # without argtypes ctypes would pass a Python int as a 32-bit C int
+    # and silently corrupt an int64_t argument, so every function the
+    # source defines has its return type and one ctypes type per
+    # parameter: the C type, or c_void_p for a pointer
+    with open(_kernels._SOURCE) as fh:
+        source = fh.read()
+    defined = re.findall(r"^(\w+) (\w+)\(([^)]*)\)\s*\{", source,
+                         re.MULTILINE)
+    assert {name for _, name, _ in defined} == {
+        "chain_run", "particle_run", "g0_descend", "urn_run"}
+    for result, name, params in defined:
+        fn = getattr(_kernels.lib(), name)
+        want = [ctypes.c_void_p if "*" in param
+                else _CTYPES[param.split()[-2]]
+                for param in params.split(",")]
+        assert fn.restype is _CTYPES[result], name
+        assert fn.argtypes == want, name
+
+
 def test_particle_run_refusals():
     rng = np.random.default_rng(0)
     slots, counts = _start([3, 1], 4)
@@ -297,7 +358,11 @@ def test_loops_refuse_an_rng_that_is_not_a_generator(rng):
         particle.moran_ensemble(np.stack([slots, slots]), 5, params, rng)
     with pytest.raises(DomainError, match="Generator"):
         simulate_chain_ensemble(N_CHAIN, 10, 1, params, 2, rng)
+    rows, k = gibbs._g0_rows(1, 9, 1, 1, params), np.ones(2, np.int64)
+    with pytest.raises(DomainError, match="Generator"):
+        _urn_run(rows, 1, k, rng)
     assert (slots.tolist(), counts.tolist()) == ([0, 0, 0, 1], [3, 1, 0, 0])
+    assert k.tolist() == [1, 1]
 
 
 def test_missing_compiler_is_a_clear_error(monkeypatch):

@@ -92,7 +92,7 @@ def test_sample_k_batch_matches_exact_block_count_law(rng):
 
 
 def test_sample_k_batch_matches_exact_law_across_blocks(rng):
-    # n = 1000 runs its 999 steps in 16 blocks; n = 15 stays in one
+    # n = 1000 runs its 999 steps in 4 blocks; n = 15 stays in one
     params = GGParams.from_beta(2.0)
     n, reps = 1000, 20_000
     ks = sample_k_batch(n, params, reps, rng)
@@ -110,15 +110,20 @@ def test_sample_k_batch_matches_exact_law_across_blocks(rng):
                                     GGParams.from_beta(2.0, alpha=0.8)],
                          ids=["nig", "a0", "alpha0.3", "alpha0.8"])
 def test_sample_k_batch_equals_stepwise_reference(params):
-    # block edges at 1, 2, 3 and 63..66 steps, and several blocks; the
-    # recursion's g0 differs from the kernel's in the last digits only,
-    # so the draws agree unless a uniform falls within ~1e-13 of g0
-    for i, (n, reps) in enumerate((n, reps)
-                                  for n in (1, 2, 3, 63, 64, 65, 66, 129, 400)
+    # 0, 1 and 2 steps, block edges at 254..257 and 510..512 steps, and
+    # several blocks; the recursion's g0 differs from the kernel's in the
+    # last digits only, so the draws agree unless a uniform falls within
+    # ~1e-13 of g0.  Each call reads exactly (n - 1) * reps uniforms.
+    ns = (1, 2, 3, 63, 64, 65, 66, 129, 255, 256, 257, 258, 400, 511, 512,
+          513)
+    for i, (n, reps) in enumerate((n, reps) for n in ns
                                   for reps in (1, 7, 300)):
-        got = sample_k_batch(n, params, reps, np.random.default_rng(i))
+        rng = np.random.default_rng(i)
+        got = sample_k_batch(n, params, reps, rng)
         want = stepwise_k_batch(n, params, reps, np.random.default_rng(i))
         assert np.array_equal(got, want), (n, reps)
+        after = np.random.default_rng(i).random((n - 1) * reps + 1)[-1]
+        assert rng.random() == after, (n, reps)
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
@@ -126,8 +131,11 @@ def test_sample_k_batch_equals_stepwise_reference(params):
                                     GGParams(a=0.0)],
                          ids=["nig", "alpha0.3", "a0"])
 def test_sample_partition_block_count_equals_sample_k_batch(params):
-    # both urns read the same g0 rows and one uniform per step, so one
-    # replicate of the batch urn is the scalar urn's block count
+    # both urns draw one uniform per step against g0, so one replicate of
+    # the batch urn is the scalar urn's block count; the scalar urn reads
+    # g0 anchored on evaluator rows 64 steps apart and the batch urn on
+    # rows 256 apart, values that agree to about 1e-13, so the draws
+    # agree unless a uniform falls that close to g0
     for n in (1, 2, 64, 65, 200, 700):
         for seed in range(4):
             state = sample_partition(n, params, np.random.default_rng(seed))
@@ -151,6 +159,39 @@ def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
     sample_partition(300, params, np.random.default_rng(0))
     assert 1 <= len(calls) <= 5
     assert max(calls) < 2 * 64
+
+
+def test_sample_k_batch_reads_one_row_per_block(monkeypatch):
+    # 999 steps are 4 blocks of at most 256, one evaluator row each over
+    # the block counts the runs can reach
+    calls = []
+
+    def counting(n, k, params):
+        calls.append(np.size(k))
+        return evaluate(n, k, params)
+
+    evaluate = gibbs.weights_batch
+    monkeypatch.setattr(gibbs, "weights_batch", counting)
+    sample_k_batch(1000, GGParams.from_beta(2.0), 1000,
+                   np.random.default_rng(0))
+    assert len(calls) == math.ceil(999 / 256) == 4
+    assert max(calls) < 2 * 256
+
+
+@pytest.mark.parametrize("rng", [np.random.RandomState(0),
+                                 np.random.PCG64(0), None],
+                         ids=["RandomState", "PCG64", "None"])
+def test_samplers_refuse_an_rng_that_is_not_a_generator(rng):
+    # also where no uniform would be drawn: one item, no replicates
+    params = GGParams.from_beta(2.0)
+    for n, reps in ((10, 3), (1, 3), (10, 0)):
+        with pytest.raises(DomainError, match="Generator"):
+            sample_k_batch(n, params, reps, rng)
+    for n in (10, 1):
+        with pytest.raises(DomainError, match="Generator"):
+            sample_partition(n, params, rng)
+    with pytest.raises(DomainError, match="Generator"):
+        sample_gem(PDParams(theta=1.0, alpha=0.5), rng=rng)
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(1.414213562),
