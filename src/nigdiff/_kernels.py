@@ -9,7 +9,7 @@ The first call of ``lib`` in a process loads the library from a cache
 keyed by content, so a given source is compiled once per machine:
 
 - The key is the SHA-256 of the bytes of ``_kernels.c``, the gcc command
-  ``_COMMAND`` and the output of ``gcc --version``.
+  ``_COMMAND`` and the path, real path, size and mtime of gcc on PATH.
 - The entry is ``$XDG_CACHE_HOME/nigdiff/_kernels-<key>.so``, or
   ``~/.cache/nigdiff/...`` when ``XDG_CACHE_HOME`` is unset or relative.
 - On a miss gcc builds into a temporary file in that directory, which
@@ -24,8 +24,8 @@ keyed by content, so a given source is compiled once per machine:
   others, the library is built in a temporary directory that is
   removed once it is loaded, and no file is left behind.
 
-Nothing is built at import, but gcc is needed at run time, also for a
-cached entry (its version is part of the key): there is no fallback.
+Nothing is built at import and a cached load runs no process, but gcc
+must be on PATH, also for a cached entry: there is no fallback.
 No flag changes floating-point results (no -march=native, no
 -ffast-math, no contraction into fused multiply-adds), so the loops
 compare bit for bit with numpy.
@@ -37,6 +37,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 
@@ -50,9 +51,9 @@ _COMMAND = ("gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _PTR, _I64 = ctypes.c_void_p, ctypes.c_int64
 
 
-def _run(command) -> str:
-    """The stdout of ``command``; a compiler that is missing or fails
-    raises ``KernelCompileError`` with its message."""
+def _run(command) -> None:
+    """Run ``command``; a compiler that is missing or fails raises
+    ``KernelCompileError`` with its message."""
     try:
         proc = subprocess.run(command, capture_output=True, text=True)
     except OSError as exc:
@@ -62,7 +63,6 @@ def _run(command) -> str:
         raise KernelCompileError(
             f"{' '.join(command)} exited with {proc.returncode}:\n"
             f"{proc.stderr}")
-    return proc.stdout
 
 
 def _cache_dir() -> str | None:
@@ -100,12 +100,17 @@ def _intact(path: str) -> bool:
 
 def _cached(cache: str) -> ctypes.CDLL | None:
     """The entry of this source in ``cache``, built if it is missing or
-    does not load; None if no file can be made or loaded there."""
+    does not load; None if no file can be made or loaded there.  A gcc
+    missing from PATH raises ``KernelCompileError``."""
+    gcc = shutil.which(_COMMAND[0])
+    if gcc is None:
+        raise KernelCompileError(f"cannot find {_COMMAND[0]!r} on PATH")
+    info = os.stat(gcc)
     digest = hashlib.sha256()
     with open(_SOURCE, "rb") as fh:
         digest.update(fh.read())
-    for part in ("\0".join(_COMMAND), _run([_COMMAND[0], "--version"])):
-        digest.update(b"\0" + part.encode())
+    digest.update(repr((_COMMAND, gcc, os.path.realpath(gcc), info.st_size,
+                        info.st_mtime_ns)).encode())
     target = os.path.join(cache, f"_kernels-{digest.hexdigest()}.so")
     if _intact(target):
         try:

@@ -463,14 +463,6 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
 _row_cache = functools.lru_cache(maxsize=64)(_g0_rows)
 
 
-def _g0_cached(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
-    """``_g0_rows`` from ``_row_cache``, which the scalar urn's bands and
-    the particle engines' rows share across calls; GG or PD params only."""
-    if not isinstance(params, (GGParams, PDParams)):
-        raise DomainError(f"unsupported parameter type {type(params)!r}")
-    return _row_cache(m0, m1, lo, hi, params)
-
-
 # ---------------------------------------------------------------------------
 # EPPF
 

@@ -4,11 +4,11 @@ stick-breaking, plus partition statistics.
 The urn grows one observation at a time: a new type appears with
 probability g0(n, k), and an existing type of current size n_j is
 reinforced with probability g1(n, k) * (n_j - alpha).  Both urn
-samplers read g0 one block of steps at a time from ``gibbs._g0_rows``,
-whose rows below the block's evaluator row come from the compiled
-Gibbs-triangle descent; the batch urn's steps run compiled too
-(``_kernels.c`` ``urn_run``).  Every sampler takes a numpy
-``Generator`` and refuses anything else with ``DomainError``.
+samplers read g0 from ``gibbs._g0_rows`` on one grid of _BLOCK steps,
+so they read the same g0 bit for bit: one evaluator row per block and
+the compiled Gibbs-triangle descent below it.  The batch urn's steps
+run compiled too (``_kernels.c`` ``urn_run``).  Every sampler takes a
+numpy ``Generator`` and refuses anything else with ``DomainError``.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import numpy.random  # noqa: F401
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_rows, _g0_cached
+from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_rows, _row_cache
 
-_STEP_BLOCK = 64  # scalar urn steps per evaluator row, cached in bands
-_BATCH_BLOCK = 256  # batch urn steps per evaluator row, uncached
+_BLOCK = 256  # urn steps per evaluator row, in both samplers
 
 
 @dataclass
@@ -76,7 +75,8 @@ def sample_partition(n: int, params, rng: np.random.Generator
     uniform u per step as in ``sample_k_batch``: a step at (m, K) opens
     a new block when u < g0(m, K), and otherwise joins block j with
     probability (n_j - alpha)/(m - alpha K), which is
-    g1 (n_j - alpha)/(1 - g0) by the Gibbs constraint."""
+    g1 (n_j - alpha)/(1 - g0) by the Gibbs constraint.  A block's rows
+    over an aligned band of K are cached (``gibbs._row_cache``)."""
     if not isinstance(params, (GGParams, PDParams)):
         raise DomainError(f"unsupported parameter type {type(params)!r}")
     if not isinstance(n, numbers.Integral) or n < 1:
@@ -84,10 +84,10 @@ def sample_partition(n: int, params, rng: np.random.Generator
     _kernels.require_generator(rng)
     alpha = params.alpha
     sizes = [1]
-    for m0 in range(1, n, _STEP_BLOCK):
-        m1 = min(n - 1, m0 + _STEP_BLOCK - 1)
-        lo = len(sizes) - (len(sizes) - 1) % _STEP_BLOCK
-        rows = _g0_cached(m0, m1, lo, lo + _STEP_BLOCK - 1, params)
+    for m0 in range(1, n, _BLOCK):
+        m1 = min(n - 1, m0 + _BLOCK - 1)
+        lo = len(sizes) - (len(sizes) - 1) % _BLOCK
+        rows = _row_cache(m0, m1, lo, lo + _BLOCK - 1, params)
         for i, u in enumerate(rng.random(m1 - m0 + 1).tolist()):
             k = len(sizes)
             g0 = rows.item(i, k - lo)
@@ -111,9 +111,9 @@ def sample_k_batch(n: int, params: GGParams, replicates: int,
     grown jointly, one uniform per replicate and step, step-major, as
     one ``rng.random(replicates)`` per step would draw them: a run at
     (m, k) opens a new block when its uniform is below g0(m, k).  The
-    steps run in blocks of _BATCH_BLOCK: each block reads g0 for every
-    state its runs can reach from one evaluator row at its last step and
-    the positive Gibbs-triangle recursion below it (``gibbs._g0_rows``),
+    steps run in blocks of _BLOCK: each block reads g0, uncached, for
+    every state its runs can reach from one evaluator row at its last
+    step and the Gibbs-triangle recursion below it (``gibbs._g0_rows``),
     and its steps run in ``_kernels.c`` ``urn_run``, which leaves the
     generator (n - 1) * replicates uniforms on."""
     if not isinstance(params, GGParams):
@@ -128,8 +128,8 @@ def sample_k_batch(n: int, params: GGParams, replicates: int,
     k = np.ones(replicates, dtype=np.int64)
     if replicates == 0:
         return k
-    for m0 in range(1, n, _BATCH_BLOCK):
-        m1 = min(n - 1, m0 + _BATCH_BLOCK - 1)
+    for m0 in range(1, n, _BLOCK):
+        m1 = min(n - 1, m0 + _BLOCK - 1)
         lo = int(k.min())
         rows = _g0_rows(m0, m1, lo, int(k.max()), params)
         _kernels.run("urn_run", rng, replicates, m1 - m0 + 1, rows.shape[1],

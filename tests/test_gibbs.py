@@ -380,6 +380,24 @@ def test_g0_rows_descent_equals_numpy_loop(params):
         assert np.array_equal(got, want, equal_nan=True), band
 
 
+@pytest.mark.parametrize("params", [gg(2.0), gg(10.0),
+                                    GGParams.from_beta(2.0, alpha=0.3),
+                                    PDParams(theta=1.5, alpha=0.3)],
+                         ids=["beta2", "beta10", "alpha0.3", "pd"])
+def test_g0_rows_do_not_depend_on_the_band(params):
+    # g0(m, k) depends on (m, k, params) alone, so the scalar urn's
+    # aligned bands and the batch urn's run-sized bands, anchored on the
+    # same evaluator row, agree bit for bit wherever both reach
+    for m0, m1, bands in ((257, 512, ((1, 256), (3, 40), (17, 17))),
+                          (769, 999, ((1, 256), (100, 400), (257, 512)))):
+        rows = [gibbs._g0_rows(m0, m1, lo, hi, params) for lo, hi in bands]
+        for (lo, hi), got in zip(bands[1:], rows[1:]):
+            for i, m in enumerate(range(m0, m1 + 1)):
+                top = min(m, hi + m - m0, bands[0][1] + m - m0)
+                want = rows[0][i, lo - bands[0][0]:top - bands[0][0] + 1]
+                assert np.array_equal(got[i, :top - lo + 1], want), (m, lo)
+
+
 # ---------------------------------------------------------------------------
 # Asymptotic weights
 

@@ -415,6 +415,11 @@ def _entries(cache):
     return sorted((cache / "nigdiff").iterdir())
 
 
+def _gcc_calls(tmp_path):
+    """The calls that the ``fresh`` fixture's gcc wrapper has logged."""
+    return (tmp_path / "gcc.log").read_text().splitlines()
+
+
 def test_fresh_process_builds_without_leaving_files(tmp_path, fresh):
     # one compile; its one file is the cache entry
     package = os.path.dirname(nigdiff.__file__)
@@ -429,11 +434,14 @@ def test_fresh_process_builds_without_leaving_files(tmp_path, fresh):
 
 
 def test_second_fresh_process_loads_the_cached_build(tmp_path, fresh):
+    # the key reads the compiler binary, not its output, so a warm load
+    # calls gcc not at all
     first, _ = fresh(tmp_path / "cache")
-    entries = _entries(tmp_path / "cache")
+    entries, calls = _entries(tmp_path / "cache"), _gcc_calls(tmp_path)
     second, compiles = fresh(tmp_path / "cache")
     assert compiles == 1 and second == first
     assert _entries(tmp_path / "cache") == entries
+    assert _gcc_calls(tmp_path) == calls
 
 
 def test_other_entries_are_kept(tmp_path, fresh):

@@ -131,12 +131,10 @@ def test_sample_k_batch_equals_stepwise_reference(params):
                                     GGParams(a=0.0)],
                          ids=["nig", "alpha0.3", "a0"])
 def test_sample_partition_block_count_equals_sample_k_batch(params):
-    # both urns draw one uniform per step against g0, so one replicate of
-    # the batch urn is the scalar urn's block count; the scalar urn reads
-    # g0 anchored on evaluator rows 64 steps apart and the batch urn on
-    # rows 256 apart, values that agree to about 1e-13, so the draws
-    # agree unless a uniform falls that close to g0
-    for n in (1, 2, 64, 65, 200, 700):
+    # both urns draw one uniform per step against the same g0, bit for
+    # bit, so one replicate of the batch urn is the scalar urn's block
+    # count, also across block edges
+    for n in (1, 2, 64, 65, 200, 257, 513, 700, 1000):
         for seed in range(4):
             state = sample_partition(n, params, np.random.default_rng(seed))
             assert state.n == n
@@ -144,38 +142,59 @@ def test_sample_partition_block_count_equals_sample_k_batch(params):
                 n, params, 1, np.random.default_rng(seed))[0], (n, seed)
 
 
-def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
-    # 299 steps are 5 blocks of at most 64, one evaluator row each, over
-    # a band of 64 block counts and the 63 above it
+def _evaluator_calls(monkeypatch):
+    """The list that records (row n, number of states) of each
+    ``gibbs.weights_batch`` call from now on."""
     calls = []
 
-    def counting(n, k, params):
-        calls.append(n.size)
-        return log_v_w(n, k, params)
+    def recording(n, k, params):
+        calls.append((int(n), np.size(k)))
+        return evaluate(n, k, params)
 
-    log_v_w = gibbs._log_v_w
-    monkeypatch.setattr(gibbs, "_log_v_w", counting)
+    evaluate = gibbs.weights_batch
+    monkeypatch.setattr(gibbs, "weights_batch", recording)
+    return calls
+
+
+def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
+    # 299 steps are 2 blocks of at most 256, one evaluator row each, over
+    # a band of 256 block counts and the 255 above it
+    calls = _evaluator_calls(monkeypatch)
     params = GGParams.from_beta(2.718281828)  # no other test reads it
     sample_partition(300, params, np.random.default_rng(0))
-    assert 1 <= len(calls) <= 5
-    assert max(calls) < 2 * 64
+    assert 1 <= len(calls) <= 2
+    assert max(size for _, size in calls) < 2 * 256
 
 
 def test_sample_k_batch_reads_one_row_per_block(monkeypatch):
     # 999 steps are 4 blocks of at most 256, one evaluator row each over
     # the block counts the runs can reach
-    calls = []
-
-    def counting(n, k, params):
-        calls.append(np.size(k))
-        return evaluate(n, k, params)
-
-    evaluate = gibbs.weights_batch
-    monkeypatch.setattr(gibbs, "weights_batch", counting)
+    calls = _evaluator_calls(monkeypatch)
     sample_k_batch(1000, GGParams.from_beta(2.0), 1000,
                    np.random.default_rng(0))
     assert len(calls) == math.ceil(999 / 256) == 4
-    assert max(calls) < 2 * 256
+    assert max(size for _, size in calls) < 2 * 256
+
+
+def test_urns_anchor_g0_on_the_same_rows(monkeypatch, fresh_row_cache):
+    # one grid of 256 steps for both urns: the evaluator rows at the end
+    # of each block, m = 256, 512, 768 and n - 1
+    params, calls = GGParams.from_beta(2.0), _evaluator_calls(monkeypatch)
+    sample_partition(1000, params, np.random.default_rng(0))
+    assert sorted({n for n, _ in calls}) == [256, 512, 768, 999]
+    calls.clear()
+    sample_k_batch(1000, params, 100, np.random.default_rng(0))
+    assert [n for n, _ in calls] == [256, 512, 768, 999]
+
+
+def test_sample_partition_reuses_cached_rows(monkeypatch, fresh_row_cache):
+    # the 20 blocks of an urn at n = 5000 fit the row cache, so a second
+    # urn at the same params reads every block from it
+    params = GGParams.from_beta(2.0)
+    sample_partition(5000, params, np.random.default_rng(0))
+    calls = _evaluator_calls(monkeypatch)
+    sample_partition(5000, params, np.random.default_rng(1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("rng", [np.random.RandomState(0),
