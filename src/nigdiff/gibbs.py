@@ -424,15 +424,54 @@ def _check_weight_row(m, k, g0, g1, alpha: float) -> None:
             f"{total[bad][0]!r} at m = {m[bad][0]:g}, k = {k[bad][0]:g}")
 
 
+class _RowCache(dict):
+    """The engines' read-only rows by (function, arguments); the oldest
+    go first once they hold more than _ROW_CACHE_BYTES."""
+    nbytes = 0
+
+    def clear(self):
+        super().clear()
+        self.nbytes = 0
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def cached(*args):
+            key = (fn.__name__, *args)
+            rows = self.get(key)
+            if rows is None:
+                rows = self[key] = fn(*args)
+                self.nbytes += rows.nbytes
+                while self.nbytes > _ROW_CACHE_BYTES:
+                    self.nbytes -= self.pop(next(iter(self))).nbytes
+            return rows
+        return cached
+
+
+_row_cache = _RowCache()
+_ROW_CACHE_BYTES = 32 << 20  # bound on the bytes of _row_cache's rows
+
+
+@_row_cache
+def _top_row(m: int, lo: int, hi: int, params) -> np.ndarray:
+    """The evaluator's (g0, g1) at row m over k = lo..hi, checked by
+    ``_check_weight_row``, as one read-only (2, hi - lo + 1) array."""
+    k = np.arange(lo, hi + 1.0)
+    row = np.stack(weights_batch(m, k, params))
+    _check_weight_row(m, k, *row, params.alpha)
+    row.flags.writeable = False
+    return row
+
+
 def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     """g0(m, k) at rows[m - m0, k - lo] for m0 <= m <= m1 and
     lo <= k <= min(m, hi + m - m0), the states an urn at m0 with block
     counts in [lo, hi] can reach by step m1 (nan elsewhere), from one
     evaluator row and a downward recursion of positive terms.
 
-    Row m1 is the evaluator's g0 over k = lo..min(m1, hi + m1 - m0),
-    checked by ``_check_weight_row``.  The Gibbs triangle
-    V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
+    Row m1 is ``_top_row``'s g0 over k = lo..min(m1, hi + m1 - m0),
+    cached, so an urn block whose row m1 = n - 1 spans k = 1..n - 1
+    reads the particle table's row (``particle._g0_table``).  The Gibbs
+    triangle V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
     rho(m, k) = V(m, k+1)/V(m, k) and d(m, k) = V(m, k)/V(m+1, k),
 
         d(m, k) = (m - alpha*k) + rho(m+1, k),
@@ -445,22 +484,21 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     operations in the order a numpy loop over rows would, so they match
     that loop bit for bit; with m0 = m1 nothing is compiled.
     """
-    k = np.arange(lo, min(m1, hi + m1 - m0) + 1.0)
-    g0, g1 = weights_batch(m1, k, params)
-    _check_weight_row(m1, k, g0, g1, params.alpha)
-    rows = np.full((m1 - m0 + 1, k.size), np.nan)
+    top = min(m1, hi + m1 - m0)
+    g0, g1 = _top_row(m1, lo, top, params)
+    rows = np.full((m1 - m0 + 1, g0.size), np.nan)
     rows[-1] = g0
     if m1 > m0:
         rho = g0 / g1  # rho(m1 + 1, k)
-        d = (m1 - params.alpha * k) + rho
-        _kernels.lib().g0_descend(m0, m1, lo, k.size, params.alpha,
+        d = (m1 - params.alpha * np.arange(lo, top + 1.0)) + rho
+        _kernels.lib().g0_descend(m0, m1, lo, g0.size, params.alpha,
                                   rho.ctypes.data, d.ctypes.data,
                                   rows.ctypes.data)
     rows.flags.writeable = False  # read-only, as _row_cache shares it
     return rows
 
 
-_row_cache = functools.lru_cache(maxsize=64)(_g0_rows)
+_g0_blocks = _row_cache(_g0_rows)
 
 
 # ---------------------------------------------------------------------------

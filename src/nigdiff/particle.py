@@ -11,7 +11,10 @@ probability (n_t - alpha)/n_t, which makes every event O(1) regardless
 of the number of types.  The conditioned variant takes g0 := [the
 removed particle was a singleton], so K never changes.  The free
 variant reads g0(n-1, k_r), k_r = 1..n-1, from one checked evaluator
-row, cached read-only with the urn's rows (``gibbs._row_cache``).
+row, cached read-only with the urn's rows (``gibbs._row_cache``).  At
+n <= 512 it is the row that the urn's last block descends from, so a
+start drawn from ``sample_partition(n)`` and the dynamics evaluate row
+n - 1 once; above, the urn's band is narrower and each evaluates it.
 
 The dynamics run on one engine, compiled C (``_kernels.c``, built by
 gcc once per source and loaded on the first call in a process) on flat
@@ -37,7 +40,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
 from .gibbs import (GGParams, PDParams, _check_block_sizes,
-                    _check_weight_row, _row_cache, weights_batch)
+                    _check_weight_row, _top_row, weights_batch)
 from .urn import PartitionState, sample_partition
 
 
@@ -104,10 +107,11 @@ class ParticleSystem:
 
 
 def _g0_table(n: int, params) -> np.ndarray:
-    """g0(n-1, k) for k = 1..n-1, the cached, checked evaluator row."""
+    """g0(n-1, k) for k = 1..n-1, the cached, checked, read-only
+    evaluator row (``gibbs._top_row``)."""
     if not isinstance(params, (GGParams, PDParams)):
         raise DomainError(f"unsupported parameter type {type(params)!r}")
-    return _row_cache(n - 1, n - 1, 1, n - 1, params)[0]
+    return _top_row(n - 1, 1, n - 1, params)[0]
 
 
 def moran_ensemble(slots, events: int, params, rng: np.random.Generator):

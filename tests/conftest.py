@@ -373,12 +373,13 @@ def rng():
 
 @pytest.fixture
 def fresh_row_cache():
-    """Clear the g0 row cache that the urn and the particle engines share
-    before and after the test, so that the test builds its own rows (from
-    a patched evaluator, say) and leaves none of them behind."""
-    gibbs._row_cache.cache_clear()
+    """Clear the engines' one row cache, the urn blocks and the evaluator
+    rows that both urns and the particle table read, before and after the
+    test, so that the test builds its own rows (from a patched evaluator,
+    say) and leaves none of them behind."""
+    gibbs._row_cache.clear()
     yield
-    gibbs._row_cache.cache_clear()
+    gibbs._row_cache.clear()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -92,7 +92,8 @@ def test_sample_k_batch_matches_exact_block_count_law(rng):
 
 
 def test_sample_k_batch_matches_exact_law_across_blocks(rng):
-    # n = 1000 runs its 999 steps in 4 blocks; n = 15 stays in one
+    # n = 1000 runs its 999 steps in 4 blocks, anchored down from
+    # m = 999: a short first block of 231 steps, then three of 256
     params = GGParams.from_beta(2.0)
     n, reps = 1000, 20_000
     ks = sample_k_batch(n, params, reps, rng)
@@ -110,10 +111,12 @@ def test_sample_k_batch_matches_exact_law_across_blocks(rng):
                                     GGParams.from_beta(2.0, alpha=0.8)],
                          ids=["nig", "a0", "alpha0.3", "alpha0.8"])
 def test_sample_k_batch_equals_stepwise_reference(params):
-    # 0, 1 and 2 steps, block edges at 254..257 and 510..512 steps, and
-    # several blocks; the recursion's g0 differs from the kernel's in the
-    # last digits only, so the draws agree unless a uniform falls within
-    # ~1e-13 of g0.  Each call reads exactly (n - 1) * reps uniforms.
+    # 0, 1 and 2 steps, one block of up to 256 steps (n <= 257), and two
+    # blocks ending at m = n - 257 and n - 1 whose short first block has
+    # 1, 143 or 254..256 steps (n = 258, 400, 511..513); the recursion's
+    # g0 differs from the kernel's in the last digits only, so the draws
+    # agree unless a uniform falls within ~1e-13 of g0.  Each call reads
+    # exactly (n - 1) * reps uniforms.
     ns = (1, 2, 3, 63, 64, 65, 66, 129, 255, 256, 257, 258, 400, 511, 512,
           513)
     for i, (n, reps) in enumerate((n, reps) for n in ns
@@ -166,9 +169,11 @@ def test_cold_sample_partition_reads_one_row_per_block(monkeypatch):
     assert max(size for _, size in calls) < 2 * 256
 
 
-def test_sample_k_batch_reads_one_row_per_block(monkeypatch):
+def test_sample_k_batch_reads_one_row_per_block(monkeypatch,
+                                                fresh_row_cache):
     # 999 steps are 4 blocks of at most 256, one evaluator row each over
-    # the block counts the runs can reach
+    # the block counts the runs can reach; the rows are cached, so the
+    # cache starts empty
     calls = _evaluator_calls(monkeypatch)
     sample_k_batch(1000, GGParams.from_beta(2.0), 1000,
                    np.random.default_rng(0))
@@ -177,14 +182,43 @@ def test_sample_k_batch_reads_one_row_per_block(monkeypatch):
 
 
 def test_urns_anchor_g0_on_the_same_rows(monkeypatch, fresh_row_cache):
-    # one grid of 256 steps for both urns: the evaluator rows at the end
-    # of each block, m = 256, 512, 768 and n - 1
+    # one grid of 256 steps for both urns, anchored down from the last
+    # step: the evaluator rows at the end of each block, m = n - 1 - 256 j
+    # (both read row 231 over k = 1..231, so the cache is cleared between)
     params, calls = GGParams.from_beta(2.0), _evaluator_calls(monkeypatch)
     sample_partition(1000, params, np.random.default_rng(0))
-    assert sorted({n for n, _ in calls}) == [256, 512, 768, 999]
+    assert sorted({n for n, _ in calls}) == [231, 487, 743, 999]
     calls.clear()
+    gibbs._row_cache.clear()
     sample_k_batch(1000, params, 100, np.random.default_rng(0))
-    assert [n for n, _ in calls] == [256, 512, 768, 999]
+    assert [n for n, _ in calls] == [231, 487, 743, 999]
+
+
+def test_cold_generator_check_evaluates_row_n_minus_1_once(
+        monkeypatch, fresh_row_cache):
+    # generator-check's path at n = 300: the urn's start reads a block
+    # ending at m = 43 and one ending at m = 299 over k = 1..299, whose
+    # evaluator row is the particle table's, so the ensemble evaluates
+    # nothing more
+    params, calls = GGParams.from_beta(math.e), _evaluator_calls(monkeypatch)
+    sys0 = ParticleSystem.initialize(300, params, np.random.default_rng(0))
+    moran_ensemble(np.broadcast_to(sys0.slots, (20, 300)), 180, params,
+                   np.random.default_rng(1))
+    assert calls == [(43, 43), (299, 299)]
+    row = particle._g0_table(300, params)
+    want = weights_batch(299, np.arange(1, 300), params)[0]
+    assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        row[0] = 0.5
+
+
+def test_row_cache_is_bounded_in_bytes(fresh_row_cache):
+    # an urn at n = 16,385 reads 64 blocks of up to 256 x 511 doubles,
+    # about 65 MB, more than the cache keeps; it drops the oldest rows
+    sample_partition(16_385, GGParams.from_beta(2.0),
+                     np.random.default_rng(0))
+    held = sum(rows.nbytes for rows in gibbs._row_cache.values())
+    assert held == gibbs._row_cache.nbytes <= gibbs._ROW_CACHE_BYTES
 
 
 def test_sample_partition_reuses_cached_rows(monkeypatch, fresh_row_cache):
