@@ -469,8 +469,10 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     evaluator row and a downward recursion of positive terms.
 
     Row m1 is ``_top_row``'s g0 over k = lo..min(m1, hi + m1 - m0),
-    cached, so an urn block whose row m1 = n - 1 spans k = 1..n - 1
-    reads the particle table's row (``particle._g0_table``).  The Gibbs
+    cached.  The urns end their blocks at m1 = n - 1, n - 257, ..., so
+    at n <= 512 the scalar urn's last block spans k = 1..n - 1 and reads
+    the particle table's row (``particle._g0_table``); above, its band
+    is narrower and the two evaluate row n - 1 separately.  The Gibbs
     triangle V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
     rho(m, k) = V(m, k+1)/V(m, k) and d(m, k) = V(m, k)/V(m+1, k),
 
