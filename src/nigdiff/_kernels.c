@@ -1,10 +1,10 @@
 /* Event loops of the block-count chain, of the Moran dynamics and of
- * the batch urn, and the Gibbs-triangle descent the urns read g0 from.
- * The loops draw their uniforms from numpy's bit generator, one
- * next_double call per uniform, which is how Generator.random fills its
- * output; so a run reads the same uniforms in the same order as a loop
- * over rng.random() would, and leaves the generator just past the last
- * one.  Built and loaded by _kernels.py. */
+ * both urns, the Gibbs-triangle descent the urns read g0 from, and the
+ * power sums of Moran counts.  The loops draw their uniforms from
+ * numpy's bit generator, one next_double call per uniform, which is how
+ * Generator.random fills its output; so a run reads the same uniforms
+ * in the same order as a loop over rng.random() would, and leaves the
+ * generator just past the last one.  Built and loaded by _kernels.py. */
 
 #include <stdint.h>
 #include <string.h>
@@ -154,5 +154,53 @@ void urn_run(bitgen_t *bg, int64_t reps, int64_t steps, int64_t width,
         const double *row = rows + s * width;
         for (int64_t r = 0; r < reps; r++)
             k[r] += next(st) < row[k[r] - lo];
+    }
+}
+
+/* `steps` steps of the scalar urn from m = m0 with k blocks of sizes
+ * sizes[0..k-1]; returns the new k.  The step at m opens a block when
+ * its uniform u is below g0 = rows[(m - m0) width + k - lo].  Otherwise
+ * it walks x = (u - g0) / (1 - g0) * (m - alpha k) down the blocks,
+ * x -= n_j - alpha, and the first block at which x < 0 (the last one,
+ * if roundoff leaves none) gains an item: the operations of a Python
+ * loop over the steps, in its order. */
+int64_t partition_run(bitgen_t *bg, int64_t m0, int64_t steps, int64_t width,
+                      int64_t lo, double alpha, const double *rows,
+                      int64_t k, int64_t *sizes)
+{
+    double (*next)(void *) = bg->next_double;
+    void *st = bg->state;
+    for (int64_t i = 0; i < steps; i++) {
+        double u = next(st);
+        double g0 = rows[i * width + k - lo];
+        if (u < g0) {
+            sizes[k++] = 1;
+            continue;
+        }
+        double x = (u - g0) / (1.0 - g0)
+                   * ((double)(m0 + i) - alpha * (double)k);
+        int64_t j = 0;
+        while (j < k - 1) {
+            x -= (double)sizes[j] - alpha;
+            if (x < 0.0)
+                break;
+            j++;
+        }
+        sizes[j]++;
+    }
+    return k;
+}
+
+/* out[r] = sum_t table[counts[r n + t]] over t = 0..n-1 in slot order,
+ * summed from 0.0, for each of `reps` rows of counts. */
+void power_sums(int64_t reps, int64_t n, const double *table,
+                const int32_t *counts, double *out)
+{
+    for (int64_t r = 0; r < reps; r++) {
+        const int32_t *ct = counts + r * n;
+        double acc = 0.0;
+        for (int64_t t = 0; t < n; t++)
+            acc += table[ct[t]];
+        out[r] = acc;
     }
 }

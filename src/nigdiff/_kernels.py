@@ -1,9 +1,11 @@
 """Loader of ``_kernels.c``, the compiled event loops of the block-count
-chain (``chain_run``), of the Moran dynamics (``particle_run``) and of
-the batch urn (``urn_run``), and the Gibbs-triangle descent of the urns'
-g0 rows (``g0_descend``, which draws nothing and is called through
-``lib()``); ``run`` calls one of the loops on the bit generator of a
-numpy ``Generator``, which ``require_generator`` checks.
+chain (``chain_run``), of the Moran dynamics (``particle_run``), of the
+batch urn (``urn_run``) and of the scalar urn (``partition_run``), the
+Gibbs-triangle descent of the urns' g0 rows (``g0_descend``) and the
+power sums of Moran counts (``power_sums``); the last two draw nothing
+and are called through ``lib()``.  ``run`` calls one of the loops on
+the bit generator of a numpy ``Generator``, which ``require_generator``
+checks.
 
 The first call of ``lib`` in a process loads the library from a cache
 keyed by content, so a given source is compiled once per machine:
@@ -159,6 +161,11 @@ def lib() -> ctypes.CDLL:
     so.g0_descend.argtypes = [_I64] * 4 + [ctypes.c_double] + [_PTR] * 3
     so.urn_run.restype = None
     so.urn_run.argtypes = [_PTR] + [_I64] * 4 + [_PTR] * 2
+    so.partition_run.restype = _I64
+    so.partition_run.argtypes = ([_PTR] + [_I64] * 4
+                                 + [ctypes.c_double, _PTR, _I64, _PTR])
+    so.power_sums.restype = None
+    so.power_sums.argtypes = [_I64] * 2 + [_PTR] * 3
     return so
 
 
@@ -178,5 +185,9 @@ def run(kernel: str, rng, *args) -> int | None:
     ctypes releases the GIL while it runs."""
     require_generator(rng)
     fn, bits = getattr(lib(), kernel), rng.bit_generator
-    with bits.lock:
+    lock = bits.lock
+    lock.acquire()  # half the cost of a with statement
+    try:
         return fn(bits.ctypes.bit_generator, *args)
+    finally:
+        lock.release()

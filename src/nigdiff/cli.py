@@ -286,9 +286,7 @@ def _exp_generator_check(cfg, params, seed):
     phi0 = sys0.phi(m)
     start = np.broadcast_to(sys0.slots, (paths, n))
     counts = particle.moran_ensemble(start, events, params, _rng(seed, 1))[1]
-    samples = np.zeros(paths)
-    for column in counts.T:  # by slot, to keep temporaries at O(paths)
-        samples += (column / n) ** m
+    samples = particle._power_sums(counts, m)
     fd = (samples.mean() - phi0) / h
     se = samples.std(ddof=1) / math.sqrt(paths) / h
     rows = [[m, h, fd, se, predicted, (fd - predicted) / se]]

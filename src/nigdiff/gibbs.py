@@ -451,8 +451,7 @@ _row_cache = _RowCache()
 _ROW_CACHE_BYTES = 32 << 20  # bound on the bytes of _row_cache's rows
 
 
-@_row_cache
-def _top_row(m: int, lo: int, hi: int, params) -> np.ndarray:
+def _evaluated_row(m: int, lo: int, hi: int, params) -> np.ndarray:
     """The evaluator's (g0, g1) at row m over k = lo..hi, checked by
     ``_check_weight_row``, as one read-only (2, hi - lo + 1) array."""
     k = np.arange(lo, hi + 1.0)
@@ -462,6 +461,17 @@ def _top_row(m: int, lo: int, hi: int, params) -> np.ndarray:
     return row
 
 
+_cached_row = _row_cache(_evaluated_row)
+
+
+def _top_row(m: int, lo: int, hi: int, params) -> np.ndarray:
+    """``_evaluated_row``, cached when its band starts at k = 1.  Those
+    rows repeat: the particle tables and the urns' first blocks.  The
+    batch urn's later bands follow its runs and do not repeat, and the
+    scalar urn caches its later blocks whole (``urn._block``)."""
+    return (_cached_row if lo == 1 else _evaluated_row)(m, lo, hi, params)
+
+
 def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     """g0(m, k) at rows[m - m0, k - lo] for m0 <= m <= m1 and
     lo <= k <= min(m, hi + m - m0), the states an urn at m0 with block
@@ -469,10 +479,11 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
     evaluator row and a downward recursion of positive terms.
 
     Row m1 is ``_top_row``'s g0 over k = lo..min(m1, hi + m1 - m0),
-    cached.  The urns end their blocks at m1 = n - 1, n - 257, ..., so
-    at n <= 512 the scalar urn's last block spans k = 1..n - 1 and reads
-    the particle table's row (``particle._g0_table``); above, its band
-    is narrower and the two evaluate row n - 1 separately.  The Gibbs
+    cached when lo = 1.  The urns end their blocks at m1 = n - 1,
+    n - 257, ..., so at n <= 512 the scalar urn's last block spans
+    k = 1..n - 1 and reads the particle table's row
+    (``particle._g0_table``); above, its band is narrower and the two
+    evaluate row n - 1 separately.  The Gibbs
     triangle V(m, k) = (m - alpha*k) V(m+1, k) + V(m+1, k+1) gives, with
     rho(m, k) = V(m, k+1)/V(m, k) and d(m, k) = V(m, k)/V(m+1, k),
 
@@ -498,9 +509,6 @@ def _g0_rows(m0: int, m1: int, lo: int, hi: int, params) -> np.ndarray:
                                   rows.ctypes.data)
     rows.flags.writeable = False  # read-only, as _row_cache shares it
     return rows
-
-
-_g0_blocks = _row_cache(_g0_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,26 @@ def moran_ensemble(slots, events: int, params, rng: np.random.Generator):
     return slots, counts
 
 
+def _power_sums(counts, m: int) -> np.ndarray:
+    """sum_t (counts[r, t] / n)^m for each row r of an (R, n) array of
+    counts in 0..n, C-contiguous int32 as ``moran_ensemble`` returns
+    them, summed from 0.0 in slot order (``_kernels.c`` ``power_sums``)
+    over the table (arange(n + 1) / n) ** m: bit for bit the sums of a
+    loop that adds (counts[:, t] / n) ** m for t = 0..n-1."""
+    if (counts.ndim != 2 or counts.dtype != np.int32
+            or not counts.flags.c_contiguous or not counts.shape[1]):
+        raise DomainError("counts must be a C-contiguous (R, n) int32 array "
+                          "with n >= 1")
+    reps, n = counts.shape
+    if reps and (counts.min() < 0 or counts.max() > n):
+        raise DomainError("counts must lie in 0..n")
+    table = (np.arange(n + 1) / n) ** m
+    out = np.empty(reps)
+    _kernels.lib().power_sums(reps, n, table.ctypes.data, counts.ctypes.data,
+                              out.ctypes.data)
+    return out
+
+
 def particle_run(slots, counts, events: int, alpha: float,
                  rng: np.random.Generator, g0=None, burn_in: int = 0) -> int:
     """Run ``events`` Moran events on one system, in place, with the

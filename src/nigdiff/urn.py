@@ -8,15 +8,18 @@ samplers read g0 from ``gibbs._g0_rows`` on one grid of _BLOCK steps,
 anchored at the last step, m = n - 1, n - 1 - _BLOCK, ..., so they read
 the same g0 bit for bit: one evaluator row per block and the compiled
 Gibbs-triangle descent below it.  The short block is the first one,
-where the urn has few block counts.  The batch urn's steps
-run compiled too (``_kernels.c`` ``urn_run``).  Every sampler takes a
-numpy ``Generator`` and refuses anything else with ``DomainError``.
+where the urn has few block counts.  Both urns run their steps
+compiled (``_kernels.c``): the scalar urn one ``partition_run`` call
+per block, the batch urn ``urn_run``.  Every sampler takes a numpy
+``Generator`` and refuses anything else with ``DomainError``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 # Every sampler takes an np.random.Generator and cli._rng builds one, so
@@ -25,9 +28,34 @@ import numpy.random  # noqa: F401
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .gibbs import GGParams, PDParams, _check_block_sizes, _g0_blocks, _g0_rows
+from .gibbs import (GGParams, PDParams, _check_block_sizes, _g0_rows,
+                    _row_cache)
 
 _BLOCK = 256  # urn steps per evaluator row, in both samplers
+
+
+class _Block(NamedTuple):
+    """A cached block of the scalar urn: its g0 rows (``gibbs._g0_rows``)
+    and the leading arguments of its ``partition_run`` call, converted
+    to ctypes once: converting them and reading the rows' address cost a
+    small urn about as much as its steps."""
+
+    rows: np.ndarray
+    args: tuple
+
+    @property
+    def nbytes(self) -> int:  # what _row_cache counts
+        return self.rows.nbytes
+
+
+@_row_cache
+def _block(m0: int, m1: int, lo: int, params) -> _Block:
+    """The scalar urn's steps m = m0..m1 over block counts from lo."""
+    rows = _g0_rows(m0, m1, lo, lo + _BLOCK - 1, params)
+    i64 = ctypes.c_int64
+    return _Block(rows, (i64(m0), i64(m1 - m0 + 1), i64(rows.shape[1]),
+                         i64(lo), ctypes.c_double(params.alpha),
+                         ctypes.c_void_p(rows.ctypes.data)))
 
 
 @dataclass
@@ -77,8 +105,15 @@ def sample_partition(n: int, params, rng: np.random.Generator
     uniform u per step as in ``sample_k_batch``: a step at (m, K) opens
     a new block when u < g0(m, K), and otherwise joins block j with
     probability (n_j - alpha)/(m - alpha K), which is
-    g1 (n_j - alpha)/(1 - g0) by the Gibbs constraint.  A block's rows
-    over an aligned band of K are cached (``gibbs._row_cache``).  At
+    g1 (n_j - alpha)/(1 - g0) by the Gibbs constraint.  A block's steps
+    run in ``_kernels.c`` ``partition_run``, which draws each uniform
+    through the bit generator, as ``rng.random`` does, and walks
+    x = (u - g0)/(1 - g0) (m - alpha K) down the blocks, x -= n_j -
+    alpha, with the operations of the Python loop that
+    ``tests/conftest.py`` keeps as its reference, in that loop's order;
+    so the partition and the generator's position after it are the
+    loop's bit for bit.  A block's rows over an aligned band of K are
+    cached (``_block``, in ``gibbs._row_cache``).  At
     n <= 512 the last block's row n - 1 spans k = 1..n - 1 and is the
     particle table's (``particle._g0_table``); above, the band is
     narrower and the two evaluate row n - 1 separately."""
@@ -87,27 +122,13 @@ def sample_partition(n: int, params, rng: np.random.Generator
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     _kernels.require_generator(rng)
-    alpha = params.alpha
-    sizes = [1]
+    sizes, k = (ctypes.c_int64 * n)(1), 1
     for m1 in range(1 + (n - 2) % _BLOCK, n, _BLOCK):
         m0 = max(1, m1 - _BLOCK + 1)
-        lo = len(sizes) - (len(sizes) - 1) % _BLOCK
-        rows = _g0_blocks(m0, m1, lo, lo + _BLOCK - 1, params)
-        for i, u in enumerate(rng.random(m1 - m0 + 1).tolist()):
-            k = len(sizes)
-            g0 = rows.item(i, k - lo)
-            if u < g0:
-                sizes.append(1)
-                continue
-            x = (u - g0) / (1.0 - g0) * (m0 + i - alpha * k)
-            for j, size in enumerate(sizes):
-                x -= size - alpha
-                if x < 0.0:
-                    sizes[j] = size + 1
-                    break
-            else:  # only reachable through roundoff at the top of the scale
-                sizes[-1] += 1
-    return PartitionState(block_sizes=sizes)
+        lo = k - (k - 1) % _BLOCK
+        block = _block(m0, m1, lo, params)  # held while the kernel reads it
+        k = _kernels.run("partition_run", rng, *block.args, k, sizes)
+    return PartitionState(block_sizes=sizes[:k])
 
 
 def sample_k_batch(n: int, params: GGParams, replicates: int,

@@ -1,10 +1,10 @@
 """Shared test helpers: set-partition enumeration, the
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
 the direct alternating sum used as the reference for the exact route,
-numpy and pure-Python references for the compiled loops and the
-compiled Gibbs-triangle descent, the step-by-step batch urn, the
-per-state chain transition tables, and a fixture that clears the shared
-g0 row cache."""
+numpy and pure-Python references for the compiled loops, the scalar
+urn's among them, and the compiled Gibbs-triangle descent, the
+step-by-step batch urn, the per-state chain transition tables, and a
+fixture that clears the shared g0 row cache."""
 
 import math
 from fractions import Fraction
@@ -275,6 +275,36 @@ def numpy_urn_run(rows, lo, k, rng):
     return k
 
 
+def python_sample_partition(n, params, rng):
+    """The block sizes of ``urn.sample_partition`` from a Python loop over
+    its steps, on its grid of 256-step blocks ending at m = n - 1 and its
+    g0 rows (``gibbs._g0_rows``), one ``rng.random`` per block: a step at
+    (m, k) opens a block when u < g0, and otherwise walks
+    x = (u - g0) / (1 - g0) * (m - alpha k) down the blocks, x -= n_j -
+    alpha, and the first block at which x < 0 gains the item."""
+    alpha = params.alpha
+    sizes = [1]
+    for m1 in range(1 + (n - 2) % 256, n, 256):
+        m0 = max(1, m1 - 255)
+        lo = len(sizes) - (len(sizes) - 1) % 256
+        rows = gibbs._g0_rows(m0, m1, lo, lo + 255, params)
+        for i, u in enumerate(rng.random(m1 - m0 + 1).tolist()):
+            k = len(sizes)
+            g0 = rows.item(i, k - lo)
+            if u < g0:
+                sizes.append(1)
+                continue
+            x = (u - g0) / (1.0 - g0) * (m0 + i - alpha * k)
+            for j, size in enumerate(sizes):
+                x -= size - alpha
+                if x < 0.0:
+                    sizes[j] = size + 1
+                    break
+            else:  # only reachable through roundoff at the top of the scale
+                sizes[-1] += 1
+    return sizes
+
+
 def python_particle_run(slots, counts, events, alpha, uniforms, g0=None,
                         burn_in=0):
     """The scalar Moran event loop on Python lists, reading one unbroken
@@ -329,16 +359,26 @@ def g0_above_one(n, k, params):
     return np.full(k.shape, 1.2), -0.2 / (n - params.alpha * k)
 
 
+_STEPWISE_G0 = {}  # (params, m, k) -> g0 of stepwise_k_batch
+
+
 def stepwise_k_batch(n, params, replicates, rng):
     """Block counts of ``replicates`` urn runs grown one step at a time,
     one ``rng.random(replicates)`` per step: a run at (m, k) opens a new
-    block when u < g0(m, k), with g0 from one kernel call per step over
-    the distinct k present, clipped to [0, 1]."""
+    block when u < g0(m, k), with g0 clipped to [0, 1] from one kernel
+    call per step over the distinct k present whose value no earlier
+    call has memoized.  An evaluator value does not depend on the states
+    it is evaluated with."""
     k = np.ones(replicates, dtype=np.int64)
     for m in range(1, n):
-        uk = np.unique(k)
-        g0 = np.clip(weights_batch(np.full(uk.shape, float(m)),
-                                   uk.astype(float), params)[0], 0.0, 1.0)
+        uk = np.unique(k).tolist()
+        if new := [v for v in uk if (params, m, v) not in _STEPWISE_G0]:
+            g0 = np.clip(weights_batch(np.full(len(new), float(m)),
+                                       np.array(new, float), params)[0],
+                         0.0, 1.0)
+            _STEPWISE_G0.update(((params, m, v), x)
+                                for v, x in zip(new, g0.tolist()))
+        g0 = np.array([_STEPWISE_G0[params, m, v] for v in uk])
         k += rng.random(replicates) < g0[np.searchsorted(uk, k)]
     return k
 

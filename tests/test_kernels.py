@@ -2,8 +2,10 @@
 conftest.py: the block-count chain bit for bit against the per-step
 numpy loop, the Moran loop bit for bit against its mirror in both modes,
 the ensemble's rows as successive mirror runs with counts rebuilt from
-their slots, the batch urn's steps against the per-step numpy loop, each
-run leaving the generator just past the last uniform it read, under
+their slots, the batch urn's steps against the per-step numpy loop, the
+scalar urn's against its Python loop, each run leaving the generator
+just past the last uniform it read, the power sums of Moran counts
+against a loop over their columns, under
 numpy's default bit generator and three others, runs from two threads on
 one generator, the chain's law where the numpy loop's is wrong, the
 refusals, a warning-free compile of the source, ctypes signatures for
@@ -22,14 +24,14 @@ import numpy as np
 import pytest
 
 import nigdiff
-from nigdiff import _kernels, diffusion, gibbs, particle
+from nigdiff import _kernels, diffusion, gibbs, particle, urn
 from nigdiff.diffusion import _transition_tables, simulate_chain_ensemble
 from nigdiff.errors import DomainError, KernelCompileError
 from nigdiff.gibbs import GGParams, PDParams
 from nigdiff.particle import particle_run
 
 from conftest import (numpy_chain_ensemble, numpy_urn_run,
-                      python_particle_run)
+                      python_particle_run, python_sample_partition)
 
 N_CHAIN = 40
 
@@ -204,6 +206,15 @@ def test_loops_read_any_bit_generator(bits):
     _urn_run(rows, 1, k, rng_a)
     assert np.array_equal(k, want)
     assert rng_a.random() == rng_b.random()
+    rng_a, rng_b = np.random.Generator(bits(10)), np.random.Generator(bits(10))
+    state = urn.sample_partition(600, params, rng_a)
+    assert state.block_sizes == python_sample_partition(600, params, rng_b)
+    assert rng_a.random() == rng_b.random()
+    # the power sums draw nothing; they read the counts of this generator
+    counts = particle.moran_ensemble(np.broadcast_to(np.arange(n), (4, n)),
+                                     100, params, rng_a)[1]
+    assert (particle._power_sums(counts, 3).tobytes()
+            == _column_loop(counts, 3).tobytes())
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(0.5),
@@ -225,6 +236,70 @@ def test_urn_run_matches_numpy_loop(params):
             _urn_run(rows[:steps], lo, k, rng_a)
             assert np.array_equal(k, want)
             assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
+                                    GGParams.from_beta(10.0),
+                                    GGParams.from_beta(2.0, alpha=0.3),
+                                    GGParams.from_beta(2.0, alpha=0.8),
+                                    GGParams(a=0.0),
+                                    PDParams(theta=500.0, alpha=0.5)],
+                         ids=["beta2", "beta10", "alpha0.3", "alpha0.8", "a0",
+                              "pd500"])
+def test_partition_run_matches_python_loop(params):
+    # the scalar urn's block sizes, in order, and the generator's next
+    # uniform equal the Python loop's over one block (n <= 257), two
+    # (258, 513) and six (1500); under PD(500, 1/2), and at alpha = 0.8,
+    # K passes 256, so the later blocks' bands start above k = 1
+    most = 0
+    for n in (1, 2, 3, 257, 258, 513, 1500):
+        for seed in range(3):
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            got = urn.sample_partition(n, params, rng_a).block_sizes
+            assert got == python_sample_partition(n, params, rng_b), (n, seed)
+            assert rng_a.random() == rng_b.random(), (n, seed)
+            most = max(most, len(got))
+    if isinstance(params, PDParams):
+        assert most > 256
+
+
+def _column_loop(counts, m):
+    """generator-check's power sums as they were added, slot by slot."""
+    samples = np.zeros(counts.shape[0])
+    for column in counts.T:
+        samples += (column / counts.shape[1]) ** m
+    return samples
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_power_sums_match_column_loop(m):
+    # bit for bit, over the counts of Moran replicas and over rows that
+    # take every count 0..n
+    params = GGParams.from_beta(2.0)
+    for n in (2, 7, 300):
+        start = np.broadcast_to(np.arange(n) % 5, (40, n))
+        counts = particle.moran_ensemble(start, 4 * n, params,
+                                         np.random.default_rng(m))[1]
+        spread = np.random.default_rng([m, n]).integers(
+            0, n + 1, (60, n), dtype=np.int32)
+        spread[0, :] = np.arange(n)
+        spread[1, 0] = n
+        for table in (counts, spread):
+            got = particle._power_sums(table, m)
+            assert got.tobytes() == _column_loop(table, m).tobytes()
+
+
+def test_power_sums_refuse_what_the_kernel_cannot_read():
+    # the kernel indexes its table by each count, and reads the counts
+    # as packed int32 rows
+    counts = np.full((2, 3), 1, np.int32)
+    for bad in (counts.astype(np.int64), np.ones((3, 2), np.int32).T,
+                counts[0], np.ones((2, 0), np.int32), counts + 3,
+                counts - 2):
+        with pytest.raises(DomainError):
+            particle._power_sums(bad, 2)
+    assert particle._power_sums(counts, 2).tolist() == [1 / 3, 1 / 3]
 
 
 @pytest.mark.parametrize("params", [GGParams.from_beta(2.0),
@@ -311,7 +386,8 @@ def test_every_kernel_has_its_ctypes_signature():
     defined = re.findall(r"^(\w+) (\w+)\(([^)]*)\)\s*\{", source,
                          re.MULTILINE)
     assert {name for _, name, _ in defined} == {
-        "chain_run", "particle_run", "g0_descend", "urn_run"}
+        "chain_run", "particle_run", "g0_descend", "urn_run", "partition_run",
+        "power_sums"}
     for result, name, params in defined:
         fn = getattr(_kernels.lib(), name)
         want = [ctypes.c_void_p if "*" in param
