@@ -5,7 +5,7 @@ Gibbs-triangle descent of the urns' g0 rows (``g0_descend``) and the
 power sums of Moran counts (``power_sums``); the last two draw nothing
 and are called through ``lib()``.  ``run`` calls one of the loops on
 the bit generator of a numpy ``Generator``, which ``require_generator``
-checks.
+checks.  ``map_threads`` runs independent jobs on all usable CPUs.
 
 The first call of ``lib`` in a process loads the library from a cache
 keyed by content, so a given source is compiled once per machine:
@@ -42,6 +42,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -191,3 +192,35 @@ def run(kernel: str, rng, *args) -> int | None:
         return fn(bits.ctypes.bit_generator, *args)
     finally:
         lock.release()
+
+
+def map_threads(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, last job first, on this thread and
+    helper threads; every job runs, then the loop's first error is raised."""
+    lib()  # built or loaded once, before any thread starts
+    results, failures, lock = [None] * len(jobs), {}, threading.Lock()
+    pending = list(range(len(jobs)))
+
+    def work():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                i = pending.pop()
+            try:
+                results[i] = fn(jobs[i])
+            except Exception as exc:  # raised by the caller
+                failures[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(
+        min(len(jobs), len(os.sched_getaffinity(0))) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results

@@ -8,8 +8,8 @@ reads and its config keys with their defaults.  Besides those keys a
 config may carry ``schema_version``, ``experiment``, ``seed`` and
 ``format``; any other key, params keys outside (theta, alpha), (beta,
 tau, alpha) and (a, tau, alpha), a non-integer for an integer key, a
-boolean or a string for a numeric one, and a list key that is not a
-list of such numbers exit 2 before any file is written.
+boolean, a string or a non-finite number for a numeric one, and a list
+key that is not a list of such numbers exit 2 before any file is written.
 Every run writes its data files plus ``manifest.json``: schema and
 package versions, seed, SHA-256 of every file and the resolved config,
 every declared key at the value used and the params with their defaults
@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, diffusion, gibbs, particle, urn
+from . import __version__, _kernels, diffusion, gibbs, particle, urn
 from .errors import KernelCompileError, NigdiffError
 from .gibbs import (GGParams, PDParams, eppf, integer_partitions, m1_pmf,
                     shape_count, weights_gg_asymptotic, weights_gg_exact,
@@ -95,8 +95,9 @@ def _coerce(key, value, default):
 
 def _number(key, value, integral):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            integral and isinstance(value, float) and not value.is_integer()):
-        kind = "an integer" if integral else "a number"
+            integral and isinstance(value, float) and not value.is_integer()
+            ) or not (integral or abs(value) <= sys.float_info.max):
+        kind = "an integer" if integral else "a finite number"
         raise UsageError(f"{key} must be {kind}, not {value!r}")
     return int(value) if integral else float(value)
 
@@ -227,18 +228,24 @@ def _exp_conditioned(cfg, params, seed):
     n = cfg["n"]
     if cfg["burn_in"] is None:
         cfg["burn_in"] = cfg["steps"] // 10
-    ks = [max(1, min(n, round(float(s) * math.sqrt(n))))
-          for s in cfg["s_values"]]
-    exacts = gibbs.conditional_phi2_mean(n, ks, params.alpha)
-    rows = []
-    for rep, (s, k, exact) in enumerate(zip(cfg["s_values"], ks, exacts)):
-        rng = _rng(seed, rep)
-        sizes = particle.balanced_sizes(n, k)
-        avg = particle.conditioned_phi2_average(
-            sizes, cfg["steps"], params.alpha, rng, burn_in=cfg["burn_in"])
-        theta = float(s) ** 2 / 4.0
-        oracle = (1.0 - params.alpha) / (theta + 1.0)
-        rows.append([s, k, avg, exact, oracle, avg / oracle - 1.0])
+    try:
+        ks = [max(1, min(n, round(float(s) * math.sqrt(n))))
+              for s in cfg["s_values"]]
+        oracles = [(1.0 - params.alpha) / (float(s) ** 2 / 4.0 + 1.0)
+                   for s in cfg["s_values"]]
+    except OverflowError:
+        raise UsageError(f"s^2 overflows at s in {cfg['s_values']}") from None
+
+    def job(rep):  # None, the exact table, holds the GIL and runs last
+        if rep is None:
+            return gibbs.conditional_phi2_mean(n, ks, params.alpha)
+        return particle.conditioned_phi2_average(
+            particle.balanced_sizes(n, ks[rep]), cfg["steps"], params.alpha,
+            _rng(seed, rep), burn_in=cfg["burn_in"])
+    exacts, *avgs = _kernels.map_threads(job, [None, *range(len(ks))])
+    rows = [[s, k, avg, exact, oracle, avg / oracle - 1.0]
+            for s, k, avg, exact, oracle
+            in zip(cfg["s_values"], ks, avgs, exacts, oracles)]
     return {"conditioned": (["s", "k", "phi2_time_average",
                              "stationary_exact", "pd_oracle",
                              "relative_error_vs_pd"], rows)}

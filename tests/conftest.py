@@ -2,9 +2,10 @@
 adaptive-quadrature normalizer used as the oracle for the weight kernel,
 the direct alternating sum used as the reference for the exact route,
 numpy and pure-Python references for the compiled loops, the scalar
-urn's among them, and the compiled Gibbs-triangle descent, the
-step-by-step batch urn, the per-state chain transition tables, and a
-fixture that clears the shared g0 row cache."""
+urn's among them, and the compiled Gibbs-triangle descent, the serial
+loop of the ``conditioned`` experiment, the step-by-step batch urn, the
+per-state chain transition tables, and a fixture that clears the shared
+g0 row cache."""
 
 import math
 from fractions import Fraction
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nigdiff import gibbs
+from nigdiff import gibbs, particle
+from nigdiff.cli import _rng
 from nigdiff.errors import NumericalError
 from nigdiff.gibbs import (GGParams, PDParams, _check_nk, _check_weight_row,
                            weights_batch, weights_gg_asymptotic,
@@ -350,6 +352,30 @@ def python_particle_run(slots, counts, events, alpha, uniforms, g0=None,
         if event > burn_in:
             total += ssq
     return slots, counts, total, pos
+
+
+def serial_conditioned(cfg, params, seed):
+    """The rows of the ``conditioned`` experiment from one serial loop:
+    the exact table first, then one chain per s value from
+    ``_rng(seed, rep)``, as the runner computed them before its jobs ran
+    on threads."""
+    n = cfg["n"]
+    burn_in = cfg.get("burn_in")
+    if burn_in is None:
+        burn_in = cfg["steps"] // 10
+    ks = [max(1, min(n, round(float(s) * math.sqrt(n))))
+          for s in cfg["s_values"]]
+    exacts = gibbs.conditional_phi2_mean(n, ks, params.alpha)
+    rows = []
+    for rep, (s, k, exact) in enumerate(zip(cfg["s_values"], ks, exacts)):
+        rng = _rng(seed, rep)
+        sizes = particle.balanced_sizes(n, k)
+        avg = particle.conditioned_phi2_average(
+            sizes, cfg["steps"], params.alpha, rng, burn_in=burn_in)
+        theta = float(s) ** 2 / 4.0
+        oracle = (1.0 - params.alpha) / (theta + 1.0)
+        rows.append([s, k, avg, exact, oracle, avg / oracle - 1.0])
+    return rows
 
 
 def g0_above_one(n, k, params):

@@ -10,9 +10,11 @@ import sys
 import pytest
 
 import nigdiff
-from nigdiff.cli import SCHEMA_VERSION, _rng, main
+from nigdiff.cli import SCHEMA_VERSION, _rng, _write_csv, main
 from nigdiff.diffusion import simulate_chain
 from nigdiff.gibbs import GGParams
+
+from conftest import serial_conditioned
 
 
 def _sha(path):
@@ -298,8 +300,11 @@ def test_manifest_config_reproduces_every_data_file(tmp_path, experiment):
                      "burn_in": 10.5}),      # derived int key
     ("sde", {"steps": 5, "dt": True}),       # float key, boolean
     ("chain", {"steps": 5, "params": {"beta": True}}),  # params, boolean
+    ("sde", {"steps": 5, "dt": math.inf}),   # float key, not finite
+    ("sde", {"steps": 5, "dt": 10 ** 400}),  # float key, past the floats
+    ("chain", {"steps": 5, "params": {"beta": math.inf}}),  # params, inf
 ], ids=["n-float", "steps-bool", "k0-float", "burn_in-float", "dt-bool",
-        "params-bool"])
+        "params-bool", "dt-inf", "dt-huge-int", "params-inf"])
 def test_numeric_keys_refuse_truncation_and_booleans(tmp_path, capsys,
                                                      experiment, cfg):
     path = tmp_path / "cfg.json"
@@ -336,19 +341,65 @@ def test_integral_floats_count_as_integers(tmp_path):
     ("weights", {"ns": []}),
     ("boundary", {"x_grid": []}),
     ("conditioned", {"n": 50, "steps": 1000, "s_values": []}),
+    ("conditioned", {"n": 50, "steps": 1000, "s_values": [math.inf]}),
+    ("conditioned", {"n": 50, "steps": 1000, "s_values": [1.0, 1e300]}),
+    ("boundary", {"x_grid": [math.nan, 1.0]}),
 ], ids=["ns-float", "ks-float", "ns-bool", "ns-scalar", "s_values-bool",
         "s_values-string", "betas-bool", "x_grid-string", "dt-string",
         "params-string", "ks-empty", "ns-empty", "x_grid-empty",
-        "s_values-empty"])
+        "s_values-empty", "s_values-inf", "s_values-square-overflows",
+        "x_grid-nan"])
 def test_list_entries_and_numeric_strings_exit_2(tmp_path, capsys,
                                                  experiment, cfg):
     # each of these ran before, on a truncated or converted value, on the
-    # defaults (an empty ks or x_grid) or on nothing at all
+    # defaults (an empty ks or x_grid), on nothing at all or on a value
+    # that is not finite, or escaped as an OverflowError
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([experiment, "--seed", "1", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# the params a config without them runs
+_DEFAULT_PARAMS = GGParams(a=1.0, tau=1.0, alpha=0.5)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("s_values", [[2.0], [2.5, 1], [1.0, 2.0, 3.0],
+                                      [1.0, 1.5, 2.0, 2.5, 3.0]])
+def test_conditioned_matches_the_serial_loop(tmp_path, seed, s_values):
+    # the chains and the exact table run as jobs on threads and give the
+    # bytes of one serial loop
+    cfg = {"n": 120, "steps": 20_000, "s_values": s_values}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["conditioned", "--seed", str(seed), "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    want = tmp_path / "want.csv"
+    _write_csv(want, ["s", "k", "phi2_time_average", "stationary_exact",
+                      "pd_oracle", "relative_error_vs_pd"],
+               serial_conditioned(cfg, _DEFAULT_PARAMS, seed))
+    assert (tmp_path / "o" / "conditioned.csv").read_bytes() == (
+        want.read_bytes())
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n": 50, "steps": 1000, "burn_in": 1000},
+    {"n": 50, "steps": 1000, "burn_in": 5000},
+    {"n": 1, "steps": 1000},   # the table fails first, as in the loop
+    {"n": 50, "steps": 0},
+], ids=["burn_in-steps", "burn_in-past-steps", "n-1", "steps-0"])
+def test_conditioned_failures_match_the_serial_loop(tmp_path, capsys, cfg):
+    cfg = {**cfg, "s_values": [1.0, 2.0, 3.0]}
+    with pytest.raises(ValueError) as want:
+        serial_conditioned(cfg, _DEFAULT_PARAMS, 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["conditioned", "--seed", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {want.value}\n"
     assert not (tmp_path / "o").exists()
 
 

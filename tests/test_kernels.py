@@ -7,7 +7,8 @@ scalar urn's against its Python loop, each run leaving the generator
 just past the last uniform it read, the power sums of Moran counts
 against a loop over their columns, under
 numpy's default bit generator and three others, runs from two threads on
-one generator, the chain's law where the numpy loop's is wrong, the
+one generator, the thread map's order, failures and thread counts, the
+chain's law where the numpy loop's is wrong, the
 refusals, a warning-free compile of the source, ctypes signatures for
 every function in it, and the lazy gcc build with its cache, counted by
 a gcc wrapper in fresh processes."""
@@ -172,6 +173,102 @@ def test_threads_sharing_a_generator_take_turns():
             assert not thread.is_alive()
         assert sorted(got) == want
         assert rng.random() == uniforms[used + more]
+
+
+def _cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _counting_starts(monkeypatch):
+    """Count the ``threading.Thread.start`` calls made from here on."""
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("jobs", [0, 1, 2, 5])
+def test_map_threads_returns_results_in_order(monkeypatch, cpus, jobs):
+    # one helper fewer than the jobs or the CPUs, none on one CPU, all
+    # joined
+    _cpus(monkeypatch, cpus)
+    started = _counting_starts(monkeypatch)
+    before = threading.active_count()
+    idents = set()
+
+    def square(job):
+        idents.add(threading.get_ident())
+        return job * job
+    assert _kernels.map_threads(square, list(range(jobs))) == [
+        job * job for job in range(jobs)]
+    assert len(started) == max(0, min(jobs, cpus) - 1)
+    assert len(idents) <= len(started) + 1
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_map_threads_runs_every_job_then_raises_the_lowest_failure(
+        monkeypatch):
+    _cpus(monkeypatch, 2)
+    before, ran = threading.active_count(), []
+
+    def job(i):
+        ran.append(i)
+        if i in (1, 3):
+            raise DomainError(f"job {i}")
+        return i
+    with pytest.raises(DomainError, match="job 1"):
+        _kernels.map_threads(job, list(range(5)))
+    assert sorted(ran) == list(range(5))
+    assert threading.active_count() == before
+
+
+def test_map_threads_runs_jobs_at_once_and_the_first_last(monkeypatch):
+    # two jobs that wait for each other finish only on two threads; with
+    # three, job 0 is taken last
+    _cpus(monkeypatch, 2)
+    barrier, order = threading.Barrier(2, timeout=60), []
+
+    def meet(job):
+        order.append(job)
+        if job:
+            barrier.wait()
+        return job
+    assert _kernels.map_threads(meet, [0, 1, 2]) == [0, 1, 2]
+    assert order[-1] == 0
+
+
+def test_map_threads_builds_the_kernels_before_any_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    started = _counting_starts(monkeypatch)
+
+    def no_gcc():
+        raise KernelCompileError("cannot find 'gcc' on PATH")
+    monkeypatch.setattr(_kernels, "lib", no_gcc)
+    with pytest.raises(KernelCompileError):  # and no job runs
+        _kernels.map_threads(pytest.fail, [0, 1])
+    assert started == []
+
+
+def test_map_threads_under_fast_switching(monkeypatch):
+    # more helpers than cores and a short switch interval: each job runs
+    # once and every result lands in its place
+    _cpus(monkeypatch, 8)
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _kernels.map_threads(lambda job: calls.append(job) or -job,
+                                   list(range(500)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-job for job in range(500)]
+    assert sorted(calls) == list(range(500))
 
 
 @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox,
